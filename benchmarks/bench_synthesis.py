@@ -11,7 +11,8 @@ the numpy-batched beam ranking from the other hot-path wins.  It also A/Bs
 ``enable_block_reuse`` on a 48-layer BERT, where the synthesizer records each
 distinct block once and replays it, and ``synthesis_workers`` on the same
 model, where beam expansion is sharded across forked workers at every search
-level (serial vs parallel, bit-identical by contract).
+level (serial vs parallel, bit-identical by contract).  Every row records the
+process's peak resident memory after it (``peak_rss_mb``, from ``ru_maxrss``).
 
 Usage::
 
@@ -32,6 +33,7 @@ import argparse
 import json
 import os
 import platform
+import resource
 import sys
 import time
 from pathlib import Path
@@ -44,7 +46,6 @@ from repro.models import MODEL_NAMES, BenchmarkScale, build_model
 #: The hot-path optimisation switches A/B-ed by this harness.
 OPT_FLAGS = (
     "enable_rule_indexing",
-    "enable_state_interning",
     "enable_pareto_store",
     "enable_cost_memoization",
     "enable_vectorized_cost",
@@ -58,6 +59,15 @@ def heterogeneous_cluster(num_devices: int) -> ClusterSpec:
         for i in range(num_devices)
     ]
     return ClusterSpec(machines, network=NetworkSpec())
+
+
+def peak_rss_mb() -> float:
+    """This process's peak resident set size so far, in MB (``ru_maxrss``).
+
+    The high-water mark only grows, so a row's value is the peak over that
+    row and every row before it; rows run in sweep order.
+    """
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
 def time_synthesis(make_synthesizer, repeats: int) -> Dict[str, object]:
@@ -139,6 +149,7 @@ def bench_one(
         "speedup": naive["seconds"] / optimized["seconds"],
         "vectorized_speedup": scalar_rank["seconds"] / optimized["seconds"],
         "parity": parity,
+        "peak_rss_mb": peak_rss_mb(),
     }
 
 
@@ -203,6 +214,7 @@ def bench_block_reuse(args: argparse.Namespace) -> Dict[str, object]:
         "block_reuse_speedup": optimized["seconds"] / reused["seconds"],
         "parity": parity,
         "reuse_stats": stats,
+        "peak_rss_mb": peak_rss_mb(),
     }
     print(
         f"{model:>10} m={num_devices:<3} beam+block-reuse "
@@ -273,6 +285,7 @@ def bench_beam_parallel(args: argparse.Namespace) -> Dict[str, object]:
         "parallel": parallel,
         "beam_parallel_speedup": serial["seconds"] / parallel["seconds"],
         "parity": parity,
+        "peak_rss_mb": peak_rss_mb(),
     }
     print(
         f"{model:>10} m={num_devices:<3} beam+parallel "
@@ -316,7 +329,7 @@ def run_benchmark(args: argparse.Namespace) -> Dict[str, object]:
                     f"optimized={row['optimized']['seconds']:.3f}s "
                     f"speedup={row['speedup']:.2f}x "
                     f"(vectorized {row['vectorized_speedup']:.2f}x) "
-                    f"parity={row['parity']}"
+                    f"peak={row['peak_rss_mb']:.0f}MB parity={row['parity']}"
                 )
 
     # Headline: best configuration of the largest model (most graph nodes),

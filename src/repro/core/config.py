@@ -28,7 +28,10 @@ class SynthesisConfig:
     """Knobs of the program synthesizer and its background theory.
 
     The defaults correspond to the full HAP system; the ablation study
-    (Fig. 15) switches individual features off.
+    (Fig. 15) switches individual features off.  Every search path keeps a
+    state's live properties, emulated nodes and communicated tensors as int
+    bitmasks, so the ``enable_*`` switches below only change how candidates
+    and costs are found.
 
     Attributes:
         enable_sfb: include the duplicated-computation MatMul rule that makes
@@ -67,13 +70,6 @@ class SynthesisConfig:
             never scans the full rule list per expansion.  Purely an
             implementation speed-up: the candidate sets, their order, and
             therefore the synthesized program are identical with the flag off.
-        enable_state_interning: intern search-state keys (the
-            ``(properties, completed, communicated)`` triple) to small integer
-            ids so dominance-table and beam-merge lookups hash a machine word
-            instead of re-hashing large frozensets, and canonicalize equal
-            ``Property`` objects across the theory's rules at build time so
-            frozenset operations hit the pointer-equality fast path.
-            Result-identical.
         enable_pareto_store: store the per-state-key undominated cost vectors
             in a sum-sorted Pareto front with early-exit dominance checks
             instead of a flat list scanned in full.  The dominance predicate
@@ -98,9 +94,14 @@ class SynthesisConfig:
             re-expanding the full per-level candidate set.  Every replayed
             step re-runs the exact cost model on the occurrence's own rules,
             and replay is guarded by a structural entry signature — any
-            mismatch falls back to full expansion (and re-records the block),
-            so the synthesized program is identical to the flag-off path.
-            Only the level-synchronised beam search uses it.
+            mismatch falls back to full expansion (and re-records the block).
+            Replay keeps the template's survivors without re-ranking them at
+            the occurrence's own costs, so identity with the flag-off path is
+            not guaranteed by construction: it holds where the per-occurrence
+            costs rank the candidates as the template's did, which the parity
+            suite (``tests/test_optimization_parity.py``) checks on deep
+            transformer, ViT and MoE training graphs.  Only the
+            level-synchronised beam search uses it.
         verify_after_plan: run the static program verifier
             (:func:`repro.verify.verify_program` — dataflow, collective
             legality, compute-flag and cost-accounting checks) on the
@@ -136,8 +137,9 @@ class SynthesisConfig:
     search_strategy: str = "beam"
     # Hot-path optimisation switches (all result-identical; kept individually
     # toggleable for A/B benchmarking — see benchmarks/bench_synthesis.py).
+    # They sit on top of the bitmask state representation, which every path
+    # shares.
     enable_rule_indexing: bool = True
-    enable_state_interning: bool = True
     enable_pareto_store: bool = True
     enable_cost_memoization: bool = True
     enable_vectorized_cost: bool = True

@@ -98,6 +98,11 @@ class Property:
     def __hash__(self) -> int:
         return self._hash  # type: ignore[attr-defined]
 
+    def sort_key(self) -> Tuple[str, str, int]:
+        """Total ``(ref, kind, dim)`` order that does not depend on hashing."""
+        dim = -1 if self.state.dim is None else self.state.dim
+        return (self.ref, self.state.kind.value, dim)
+
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return f"{self.ref} | {self.state}"
 

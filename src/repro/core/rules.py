@@ -32,7 +32,7 @@ is exactly how GShard-style systems treat them.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from ..collectives.cost import CollectiveKind
@@ -40,7 +40,7 @@ from ..graph.graph import ComputationGraph, Node
 from ..graph.ops import OpKind
 from .config import SynthesisConfig
 from .instructions import CommInstruction, CompInstruction, Instruction, is_source_op
-from .properties import DistState, Property, StateKind
+from .properties import DistState, Property
 
 
 @dataclass(frozen=True)
@@ -74,6 +74,26 @@ class Rule:
         post = ", ".join(sorted(str(p) for p in self.post))
         body = "; ".join(i.describe() for i in self.instructions)
         return f"{{ {pre} }} {body} {{ {post} }}"
+
+
+def ordered_pre(rule: Rule) -> Tuple[Property, ...]:
+    """Preconditions of a rule in a deterministic, name-independent order.
+
+    ``rule.pre`` is a frozenset, whose iteration order follows the hash values
+    of the reference names, so it changes with ``PYTHONHASHSEED`` and between
+    isomorphic graphs.  The computation instruction's input order is
+    structural, so it is the primary order, with any leftover preconditions
+    appended in :meth:`Property.sort_key` order.
+    """
+    ordered: List[Property] = []
+    primary = rule.instructions[-1] if rule.instructions else None
+    if isinstance(primary, CompInstruction):
+        for prop in primary.inputs:
+            if prop in rule.pre and prop not in ordered:
+                ordered.append(prop)
+    if len(ordered) < len(rule.pre):
+        ordered.extend(sorted((p for p in rule.pre if p not in ordered), key=Property.sort_key))
+    return tuple(ordered)
 
 
 @dataclass(frozen=True)
@@ -601,59 +621,7 @@ def build_theory(
                     _comm_rules_for(name, node, src, dst, cfg, name in restricted)
                 )
 
-    rules = all_comp_rules + comm_rules
-    if cfg.enable_state_interning:
-        rules = _intern_rules(rules)
-    return Theory(graph, num_devices, cfg, rules, restricted)
-
-
-def _intern_rules(rules: List[Rule]) -> List[Rule]:
-    """Canonicalize equal ``Property`` objects across all rules.
-
-    Different rules independently construct equal ``Property`` instances for
-    the same (ref, state) pair.  Replacing them with one canonical object per
-    value lets the synthesizer's frozenset operations (subset checks, unions,
-    dominance-key hashing) hit the pointer-equality fast path instead of
-    falling back to field-by-field ``__eq__``.  Values are unchanged, so the
-    synthesized programs compare equal to the non-interned ones.
-    """
-    pool: Dict[Property, Property] = {}
-
-    def canon(prop: Property) -> Property:
-        cached = pool.get(prop)
-        if cached is None:
-            cached = pool[prop] = prop
-        return cached
-
-    def canon_instr(instr: Instruction) -> Instruction:
-        if isinstance(instr, CommInstruction):
-            return CommInstruction(
-                kind=instr.kind,
-                input=canon(instr.input),
-                output=canon(instr.output),
-                dim=instr.dim,
-                dim2=instr.dim2,
-            )
-        return CompInstruction(
-            node=instr.node,
-            op=instr.op,
-            inputs=tuple(canon(p) for p in instr.inputs),
-            output=canon(instr.output),
-            flops_sharded=instr.flops_sharded,
-        )
-
-    out: List[Rule] = []
-    for rule in rules:
-        out.append(
-            Rule(
-                pre=frozenset(canon(p) for p in rule.pre),
-                instructions=tuple(canon_instr(i) for i in rule.instructions),
-                post=frozenset(canon(p) for p in rule.post),
-                completes=rule.completes,
-                communicates=rule.communicates,
-            )
-        )
-    return out
+    return Theory(graph, num_devices, cfg, all_comp_rules + comm_rules, restricted)
 
 
 def _fuse_sources(
@@ -663,9 +631,11 @@ def _fuse_sources(
 
     For every subset of the rule's preconditions that refer to source nodes,
     produce a variant whose instructions create those sources inline and whose
-    precondition no longer mentions them.
+    precondition no longer mentions them.  Subsets and their prefix
+    instructions follow :func:`ordered_pre`, so the fused rules and the
+    programs built from them do not depend on string hashing.
     """
-    source_pre = [p for p in rule.pre if p.ref in source_states]
+    source_pre = [p for p in ordered_pre(rule) if p.ref in source_states]
     fused: List[Rule] = []
     if not source_pre:
         return fused

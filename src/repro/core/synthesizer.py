@@ -4,7 +4,11 @@ The synthesizer searches the space of distributed programs defined by the
 background theory (:mod:`repro.core.rules`).  A partial program is represented
 by its *search state*: the set of live properties, the set of emulated
 single-device nodes, the set of communicated tensors, and the cost bookkeeping
-of the stage currently being filled.  The search repeatedly pops the
+of the stage currently being filled.  The three sets are Python ints used as
+bitmasks — properties over a ``(ref, kind, dim)``-sorted table of every
+property the theory mentions, nodes over the graph's node order, communicated
+tensors over the sorted communicated refs — so applying a rule is a handful of
+int operations and a state key hashes three ints.  The search repeatedly pops the
 lowest-score state from a priority queue and appends every applicable Hoare
 triple, exactly as in Fig. 10, with the paper's three search-time
 optimisations:
@@ -27,8 +31,8 @@ import heapq
 import itertools
 import time as _time
 from array import array
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -39,11 +43,11 @@ from ..graph.ops import OpKind
 from . import workerpool
 from .config import SynthesisConfig
 from .costmodel import CostModel, beam_rank_order
-from .instructions import CommInstruction, CompInstruction, Instruction
+from .instructions import CommInstruction, Instruction
 from .pareto import ParetoFront
 from .program import DistributedProgram
 from .properties import Property
-from .rules import Rule, Theory, build_theory
+from .rules import Rule, Theory, build_theory, ordered_pre
 
 #: Markers of the per-rule cost plan replayed by ``_apply`` when cost
 #: memoization is enabled: a synchronising collective (closes the open stage)
@@ -54,6 +58,14 @@ _COMP = 1
 
 class SynthesisError(RuntimeError):
     """Raised when no semantically equivalent distributed program is found."""
+
+
+def _bit_indexes(mask: int) -> Iterator[int]:
+    """Indexes of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 @dataclass
@@ -89,24 +101,20 @@ class _SearchNode:
         "completed_ideal",
         "depth",
         "topo_ptr",
-        "prop_sid",
-        "comm_sid",
     )
 
     def __init__(
         self,
         parent: Optional[_SearchNode],
         rule: Optional[Rule],
-        properties: FrozenSet[Property],
+        properties: int,
         completed: int,
-        communicated: FrozenSet[str],
+        communicated: int,
         closed_cost: float,
         stage_comp: Tuple[float, ...],
         completed_ideal: float,
         depth: int,
         topo_ptr: int = 0,
-        prop_sid: int = -1,
-        comm_sid: int = -1,
     ) -> None:
         self.parent = parent
         self.rule = rule
@@ -121,11 +129,6 @@ class _SearchNode:
         #: not yet emulated (maintained incrementally when rule indexing is
         #: on; the naive path rescans from the start instead).
         self.topo_ptr = topo_ptr
-        #: interned ids of ``properties`` / ``communicated`` (-1 when the
-        #: fast _apply path is off).  State keys built from these ids hash
-        #: two machine words instead of two frozensets.
-        self.prop_sid = prop_sid
-        self.comm_sid = comm_sid
 
     def instructions(self) -> List[Instruction]:
         """Reconstruct the instruction sequence by walking parent pointers."""
@@ -153,6 +156,12 @@ class _OccurrenceInfo:
         "ref_bits",
         "relevant_mask",
         "pending_masks",
+        "prop_mask",
+        "prop_local",
+        "local_props",
+        "comm_mask",
+        "comm_local",
+        "comm_bits",
         "sigmaps",
     )
 
@@ -164,6 +173,11 @@ class _OccurrenceInfo:
         ref_bits: Tuple[int, ...],
         relevant_mask: int,
         pending_masks: Tuple[int, ...],
+        prop_mask: int,
+        prop_local: Dict[int, Tuple[int, str, int]],
+        comm_mask: int,
+        comm_local: Dict[int, int],
+        comm_bits: Tuple[int, ...],
     ) -> None:
         self.node_names = node_names
         self.occ_refs = occ_refs
@@ -171,6 +185,16 @@ class _OccurrenceInfo:
         self.ref_bits = ref_bits
         self.relevant_mask = relevant_mask
         self.pending_masks = pending_masks
+        #: property bits of the occurrence's refs, and each such bit index's
+        #: block-local encoding ``(ref index, kind, dim)`` (plus the inverse).
+        self.prop_mask = prop_mask
+        self.prop_local = prop_local
+        self.local_props = {enc: 1 << i for i, enc in prop_local.items()}
+        #: communicated bits of the occurrence's refs, each bit index's ref
+        #: index, and each ref index's bit (0 if the ref is never communicated).
+        self.comm_mask = comm_mask
+        self.comm_local = comm_local
+        self.comm_bits = comm_bits
         #: lazily-built signature -> rule maps per candidate list (signatures
         #: are structural, so the maps survive across synthesize() calls).
         self.sigmaps: Dict[Tuple, Dict[Tuple, Rule]] = {}
@@ -256,15 +280,18 @@ class ProgramSynthesizer:
         self._indexing = self.config.enable_rule_indexing
         #: id(rule) -> bitmask over graph nodes the rule completes.
         self._completes_mask: Dict[int, int] = {}
-        #: ref -> (consumer bitmask, participates-in-liveness flag).
+        #: ref -> (consumer bitmask, participates-in-liveness flag); built
+        #: regardless of the flag, as the per-rule liveness-drop entries of the
+        #: fast and replay paths derive from it.
         self._liveness_mask: Dict[str, Tuple[int, bool]] = {}
         #: node name -> candidate rules of the topological-order search.
         self._topo_candidates: Dict[str, List[Rule]] = {}
-        #: id(rule) -> (completes mask, ideal deltas, liveness candidates).
-        self._rule_static_cache: Dict[int, Tuple[int, Tuple[float, ...], Tuple[str, ...]]] = {}
-        #: id(rule) -> (cost plan, completes mask, ideals, liveness candidates)
-        #: — the single-lookup cache of the fast _apply path (cleared with the
-        #: cost plans whenever the ratios change).
+        #: id(rule) -> (completes mask, ideal deltas, liveness-drop entries).
+        self._rule_static_cache: Dict[int, Tuple[int, Tuple[float, ...], Tuple]] = {}
+        #: id(rule) -> (cost plan, completes mask, ideals, liveness-drop
+        #: entries, post mask, communicates mask) — the single-lookup cache of
+        #: the fast _apply path (cleared with the cost plans whenever the
+        #: ratios change).
         self._rule_runtime: Dict[int, Tuple] = {}
         if self._indexing:
             for rule in self.theory.rules:
@@ -272,37 +299,26 @@ class ProgramSynthesizer:
                 for name in rule.completes:
                     mask |= 1 << self._node_index[name]
                 self._completes_mask[id(rule)] = mask
-            for name in graph.node_names:
-                consumers = self._consumers.get(name, [])
-                mask = 0
-                for consumer in consumers:
-                    mask |= 1 << self._node_index[consumer]
-                self._liveness_mask[name] = (mask, bool(consumers) or name in self._outputs)
+        for name in graph.node_names:
+            consumers = self._consumers.get(name, [])
+            mask = 0
+            for consumer in consumers:
+                mask |= 1 << self._node_index[consumer]
+            self._liveness_mask[name] = (mask, bool(consumers) or name in self._outputs)
+        # -- bitmask search states ---------------------------------------------
+        self._build_state_tables()
+        #: id(rule) -> (pre mask, post mask, communicates mask).
+        self._rule_bits_cache: Dict[int, Tuple[int, int, int]] = {}
+        #: property bit index -> [(collective, pre mask, communicates mask)]
+        #: establishing it, in ``comm_rules_by_post`` order (rule indexing).
+        self._enablers: Dict[int, List[Tuple[Rule, int, int]]] = {}
         # -- per-search caches -------------------------------------------------
         #: id(rule) -> cost-replay plan for the current ratios (cost memo).
         self._rule_plans: Dict[int, Tuple] = {}
         self._plan_ratios: Optional[Tuple[float, ...]] = None
-        # -- interned property/communicated sets (state interning + fast apply) --
-        # Children produced by applying one rule to one (property set,
-        # completed mask) are identical, so _apply_fast replays the interned
-        # result instead of rebuilding and re-hashing frozensets per child;
-        # state keys then hash the small ids.  Result-identical (the cached
-        # sets are exactly what the rebuild would produce).
-        self._fast_sids = (
-            self._indexing
-            and self.config.enable_cost_memoization
-            and self.config.enable_state_interning
-        )
-        #: frozenset -> (canonical frozenset, interned id).
-        self._propset_intern: Dict[FrozenSet[Property], Tuple[FrozenSet[Property], int]] = {}
-        self._commset_intern: Dict[FrozenSet[str], Tuple[FrozenSet[str], int]] = {}
-        #: (prop_sid, id(rule), completed-after) -> (properties, prop_sid).
-        self._prop_transition: Dict[Tuple[int, int, int], Tuple[FrozenSet[Property], int]] = {}
-        #: (comm_sid, id(rule)) -> (communicated, comm_sid).
-        self._comm_transition: Dict[Tuple[int, int], Tuple[FrozenSet[str], int]] = {}
         # -- block reuse (config.enable_block_reuse) ---------------------------
-        #: id(rule) -> deterministic precondition order (see _ordered_pre).
-        self._pre_order_cache: Dict[int, Tuple[Property, ...]] = {}
+        #: id(rule) -> preconditions in ordered_pre order, with their bits.
+        self._pre_order_cache: Dict[int, Tuple[Tuple[Property, int], ...]] = {}
         #: segment schedule over the topological order: plain nodes plus
         #: repeated-block occurrences (built lazily on first beam search).
         self._reuse_segments: Optional[List[Tuple]] = None
@@ -314,39 +330,62 @@ class ProgramSynthesizer:
         #: per-synthesize block-reuse accounting (inspectable after a run).
         self.reuse_stats: Dict[str, int] = {}
         # -- parallel beam expansion (config.synthesis_workers) ----------------
-        # Wire tables give search states a process-independent encoding: rules
-        # as indexes into theory.rules, properties / communicated refs as
-        # indexes into deterministically sorted tables.  Workers forked from
-        # this process rebuild (or inherit, via copy-on-write) the identical
-        # tables, so encoded states and children round-trip exactly.
-        self._wire_ready = False
-        self._rule_wire_index: Dict[int, int] = {}
-        self._wire_props: Tuple[Property, ...] = ()
-        self._prop_wire_ids: Dict[Property, int] = {}
-        self._wire_refs: Tuple[str, ...] = ()
-        self._ref_wire_ids: Dict[str, int] = {}
-        #: per-frozenset memo of sorted wire-id tuples (see _encode_sets);
-        #: never stale — the wire tables are fixed for this synthesizer.
-        self._propenc_cache: Dict[FrozenSet[Property], Tuple[int, ...]] = {}
-        self._commenc_cache: Dict[FrozenSet[str], Tuple[int, ...]] = {}
-        #: monotone per-synthesize() serial; workers clear their search-local
-        #: tables when it advances (mirroring synthesize()'s own clears).
-        self._search_serial = 0
         #: shared pool used by the current beam search (None = serial).
         self._level_pool: Optional[workerpool.WorkerPool] = None
         self._level_workers = 1
 
-    def _intern_propset(self, fs: FrozenSet[Property]) -> Tuple[FrozenSet[Property], int]:
-        entry = self._propset_intern.get(fs)
-        if entry is None:
-            entry = self._propset_intern[fs] = (fs, len(self._propset_intern))
-        return entry
+    def _build_state_tables(self) -> None:
+        """Bit positions of properties and communicated refs, rule indexes.
 
-    def _intern_commset(self, fs: FrozenSet[str]) -> Tuple[FrozenSet[str], int]:
-        entry = self._commset_intern.get(fs)
-        if entry is None:
-            entry = self._commset_intern[fs] = (fs, len(self._commset_intern))
-        return entry
+        Property bits follow the :meth:`Property.sort_key` order of every
+        property some rule mentions, and communicated bits the sorted refs
+        some rule communicates.  Both tables derive from the rule set alone,
+        so forked workers rebuild identical tables, agree on every bit
+        without coordination, and a state's ints are its own wire encoding.
+        Rules are indexed by position in ``theory.rules`` (the per-node /
+        per-ref candidate indexes reference those same objects, so every rule
+        a worker can apply has a wire index).
+        """
+        props: Set[Property] = set()
+        refs: Set[str] = set()
+        for rule in self.theory.rules:
+            props.update(rule.pre)
+            props.update(rule.post)
+            refs.update(rule.communicates)
+        #: bit index -> property, and the inverse.
+        self._bit_props: Tuple[Property, ...] = tuple(sorted(props, key=Property.sort_key))
+        self._prop_index: Dict[Property, int] = {p: i for i, p in enumerate(self._bit_props)}
+        #: ref -> its (contiguous) property bit indexes, and their mask —
+        #: what a liveness drop clears.
+        self._ref_bit_range: Dict[str, range] = {}
+        start = 0
+        for i, prop in enumerate(self._bit_props):
+            if i + 1 == len(self._bit_props) or self._bit_props[i + 1].ref != prop.ref:
+                self._ref_bit_range[prop.ref] = range(start, i + 1)
+                start = i + 1
+        self._ref_props: Dict[str, int] = {
+            ref: ((1 << len(bits)) - 1) << bits.start
+            for ref, bits in self._ref_bit_range.items()
+        }
+        #: communicated bit index -> ref, and the inverse.
+        self._bit_refs: Tuple[str, ...] = tuple(sorted(refs))
+        self._ref_index: Dict[str, int] = {r: i for i, r in enumerate(self._bit_refs)}
+        self._rule_wire_index = {id(r): i for i, r in enumerate(self.theory.rules)}
+
+    def _rule_bits(self, rule: Rule) -> Tuple[int, int, int]:
+        """``(pre, post, communicates)`` masks of a rule, computed once."""
+        bits = self._rule_bits_cache.get(id(rule))
+        if bits is None:
+            index, ref_index = self._prop_index, self._ref_index
+            pre = post = comm = 0
+            for prop in rule.pre:
+                pre |= 1 << index[prop]
+            for prop in rule.post:
+                post |= 1 << index[prop]
+            for ref in rule.communicates:
+                comm |= 1 << ref_index[ref]
+            bits = self._rule_bits_cache[id(rule)] = (pre, post, comm)
+        return bits
 
     # -- helpers -----------------------------------------------------------------
     def _ideal(self, name: str) -> float:
@@ -387,13 +426,15 @@ class ProgramSynthesizer:
             plan = self._rule_plans[id(rule)] = tuple(steps)
         return plan
 
-    def _rule_static(self, rule: Rule) -> Tuple[int, Tuple[float, ...], Tuple[str, ...]]:
-        """State-independent per-rule quantities (rule indexing).
+    def _rule_static(self, rule: Rule) -> Tuple[int, Tuple[float, ...], Tuple]:
+        """State-independent per-rule quantities.
 
         Returns the bitmask of nodes the rule completes, their ideal-time
         contributions (in the same iteration order as the naive per-name
         accumulation, so the floating-point heuristic is bit-identical), and
-        the reference tensors whose liveness may change when the rule fires.
+        the liveness-drop entries: ``(consumer mask, property mask)`` per
+        reference tensor that may die when the rule fires — the reference's
+        properties are dropped once every consumer in the mask is emulated.
         """
         info = self._rule_static_cache.get(id(rule))
         if info is None:
@@ -405,7 +446,13 @@ class ProgramSynthesizer:
                 ideals.append(self._ideal(name))
                 dead_candidates.update(self.graph[name].inputs)
                 dead_candidates.add(name)
-            info = (mask, tuple(ideals), tuple(dead_candidates))
+            drops = []
+            for ref in sorted(dead_candidates):
+                consumers, relevant = self._liveness_mask[ref]
+                ref_props = self._ref_props.get(ref, 0)
+                if relevant and ref_props:
+                    drops.append((consumers, ref_props))
+            info = (mask, tuple(ideals), tuple(drops))
             self._rule_static_cache[id(rule)] = info
         return info
 
@@ -413,7 +460,7 @@ class ProgramSynthesizer:
         """Append a rule to a partial program, updating state and cost.
 
         The indexed/memoized fast path and the naive path below compute the
-        same quantities (bit-identical floats, equal state sets); the fast
+        same quantities (bit-identical floats, equal state masks); the fast
         path merely replaces per-expansion recomputation with precomputed
         lookups and keeps the open-stage vector as a tuple.
         """
@@ -445,8 +492,9 @@ class ProgramSynthesizer:
         for name in rule.completes:
             completed |= 1 << self._node_index[name]
             completed_ideal += self._ideal(name)
-        properties = set(node.properties) | set(rule.post)
-        communicated = node.communicated | rule.communicates
+        _, post, comm = self._rule_bits(rule)
+        properties = node.properties | post
+        communicated = node.communicated | comm
         # Optimisation #3: drop properties of tensors that can no longer be
         # consumed (every consumer already emulated).  Program outputs with no
         # consumers (updated parameters, the loss) are dropped from the search
@@ -458,19 +506,14 @@ class ProgramSynthesizer:
             dead_candidates.update(self.graph[name].inputs)
             dead_candidates.add(name)
         for ref in dead_candidates:
-            if self._indexing:
-                mask, relevant = self._liveness_mask[ref]
-                done = (completed & mask) == mask
-            else:
-                consumers = self._consumers.get(ref, [])
-                done = all(completed & (1 << self._node_index[c]) for c in consumers)
-                relevant = bool(consumers) or ref in self._outputs
-            if done and relevant:
-                properties = {p for p in properties if p.ref != ref}
+            consumers = self._consumers.get(ref, [])
+            done = all(completed & (1 << self._node_index[c]) for c in consumers)
+            if done and (consumers or ref in self._outputs):
+                properties &= ~self._ref_props.get(ref, 0)
         return _SearchNode(
             parent=node,
             rule=rule,
-            properties=frozenset(properties),
+            properties=properties,
             completed=completed,
             communicated=communicated,
             closed_cost=closed,
@@ -480,16 +523,28 @@ class ProgramSynthesizer:
             topo_ptr=self._advance_topo_ptr(node.topo_ptr, completed),
         )
 
-    def _apply_fast(self, node: _SearchNode, rule: Rule, ratios: Sequence[float]) -> _SearchNode:
-        """Indexed + memoized variant of :meth:`_apply` (same results)."""
-        rid = id(rule)
-        runtime = self._rule_runtime.get(rid)
+    def _rule_runtime_of(self, rule: Rule, ratios: Sequence[float]) -> Tuple:
+        """(cost plan, completes mask, ideals, liveness drops, post, comm).
+
+        The single-lookup cache of :meth:`_apply_fast`, shared with block
+        replay; safe to populate even when cost memoization is off, because
+        the memoized plans replay the identical float operations.
+        """
+        runtime = self._rule_runtime.get(id(rule))
         if runtime is None:
-            runtime = self._rule_runtime[rid] = (
+            runtime = self._rule_runtime[id(rule)] = (
                 self._rule_plan(rule, ratios),
                 *self._rule_static(rule),
+                *self._rule_bits(rule)[1:],
             )
-        plan, mask, ideals, dead_candidates = runtime
+        return runtime
+
+    def _apply_fast(self, node: _SearchNode, rule: Rule, ratios: Sequence[float]) -> _SearchNode:
+        """Indexed + memoized variant of :meth:`_apply` (same results)."""
+        runtime = self._rule_runtime.get(id(rule))
+        if runtime is None:
+            runtime = self._rule_runtime_of(rule, ratios)
+        plan, mask, ideals, drops, post, comm = runtime
         closed = node.closed_cost
         stage = node.stage_comp
         for kind, payload in plan:
@@ -498,76 +553,35 @@ class ProgramSynthesizer:
                 stage = self._zero_stage
             else:
                 stage = tuple([s + t for s, t in zip(stage, payload)])
-        completed = node.completed | mask if mask else node.completed
+        properties = node.properties | post
+        if mask:
+            completed = node.completed | mask
+            topo_ptr = self._advance_topo_ptr(node.topo_ptr, completed)
+            dead = 0
+            for consumers, ref_props in drops:
+                if (completed & consumers) == consumers:
+                    dead |= ref_props
+            if dead:
+                properties &= ~dead
+        else:
+            # Pure communication rule: no node completed, liveness unchanged.
+            completed = node.completed
+            topo_ptr = node.topo_ptr
         completed_ideal = node.completed_ideal
         for ideal in ideals:
             completed_ideal += ideal
-        topo_ptr = (
-            self._advance_topo_ptr(node.topo_ptr, completed) if mask else node.topo_ptr
-        )
-        # The resulting property/communicated sets are pure functions of
-        # (parent set, rule, completed-after), so with interning on they are
-        # computed once and replayed — no per-child frozenset churn.
-        use_sids = self._fast_sids and node.prop_sid >= 0
-        prop_sid = comm_sid = -1
-        if use_sids:
-            pkey = (node.prop_sid, rid, completed)
-            prop_entry = self._prop_transition.get(pkey)
-            if prop_entry is None:
-                prop_entry = self._prop_transition[pkey] = self._intern_propset(
-                    self._child_properties(node, rule, mask, dead_candidates, completed)
-                )
-            properties, prop_sid = prop_entry
-            ckey = (node.comm_sid, rid)
-            comm_entry = self._comm_transition.get(ckey)
-            if comm_entry is None:
-                comm_entry = self._comm_transition[ckey] = self._intern_commset(
-                    node.communicated | rule.communicates
-                )
-            communicated, comm_sid = comm_entry
-        else:
-            properties = self._child_properties(node, rule, mask, dead_candidates, completed)
-            communicated = node.communicated | rule.communicates
         child = _SearchNode.__new__(_SearchNode)
         child.parent = node
         child.rule = rule
         child.properties = properties
         child.completed = completed
-        child.communicated = communicated
+        child.communicated = node.communicated | comm
         child.closed_cost = closed
         child.stage_comp = stage
         child.completed_ideal = completed_ideal
         child.depth = node.depth + 1
         child.topo_ptr = topo_ptr
-        child.prop_sid = prop_sid
-        child.comm_sid = comm_sid
         return child
-
-    def _child_properties(
-        self,
-        node: _SearchNode,
-        rule: Rule,
-        mask: int,
-        dead_candidates: Tuple[str, ...],
-        completed: int,
-    ) -> FrozenSet[Property]:
-        """Property set after applying ``rule`` (post union, liveness drop)."""
-        properties = node.properties | rule.post
-        if not mask:
-            # Pure communication rule: no node completed, liveness unchanged.
-            return properties
-        liveness = self._liveness_mask
-        dead = None
-        for ref in dead_candidates:
-            ref_mask, relevant = liveness[ref]
-            if relevant and (completed & ref_mask) == ref_mask:
-                if dead is None:
-                    dead = {ref}
-                else:
-                    dead.add(ref)
-        if dead is not None:
-            properties = frozenset([p for p in properties if p.ref not in dead])
-        return properties
 
     def _advance_topo_ptr(self, ptr: int, completed: int) -> int:
         """First index >= ptr in topological order not yet emulated."""
@@ -586,29 +600,39 @@ class ProgramSynthesizer:
         out: List[Rule] = []
         props = node.properties
         completed = node.completed
+        communicated = node.communicated
         masks = self._completes_mask if self._indexing else None
         for rule in candidates:
+            pre, post, comm = self._rule_bits(rule)
             if rule.completes:
                 if masks is not None:
                     if completed & masks[id(rule)]:
                         continue
                 elif any(completed & (1 << self._node_index[n]) for n in rule.completes):
                     continue
-            else:
-                # pure communication rule: must add a new property
-                if rule.post <= props:
-                    continue
-            if rule.communicates and (rule.communicates & node.communicated):
+            elif (props & post) == post:
+                continue  # pure communication rule: must add a new property
+            if comm & communicated:
                 continue
-            if rule.pre <= props:
+            if (props & pre) == pre:
                 out.append(rule)
         return out
 
     def _unrestricted_candidates(self, node: _SearchNode) -> List[Rule]:
-        """All rules triggered by the live properties (paper's Fig. 10 search)."""
+        """All rules triggered by the live properties (paper's Fig. 10 search).
+
+        Live references are visited in property-bit order, i.e. sorted by
+        name, so the candidate order does not depend on string hashing.
+        """
         candidates: List[Rule] = list(self.theory.rules_by_pre_ref.get("__empty__", []))
         seen: Set[int] = set()
-        for ref in {p.ref for p in node.properties}:
+        bit_props = self._bit_props
+        last_ref = None
+        for i in _bit_indexes(node.properties):
+            ref = bit_props[i].ref
+            if ref == last_ref:
+                continue  # a ref's property bits are contiguous
+            last_ref = ref
             for rule in self.theory.rules_by_pre_ref.get(ref, []):
                 rid = id(rule)
                 if rid not in seen:
@@ -696,37 +720,21 @@ class ProgramSynthesizer:
             self._rule_plans.clear()
             self._rule_runtime.clear()
             self._plan_ratios = ratios
-        # Interned sets and transitions are search-local: states never cross
-        # synthesize() calls, so dropping the tables frees last search's sets.
-        self._propset_intern.clear()
-        self._commset_intern.clear()
-        self._prop_transition.clear()
-        self._comm_transition.clear()
-        self._search_serial += 1
         if self.config.search_strategy == "beam":
             return self._beam_search(ratios)
         return self._astar_search(ratios)
 
     def _root(self) -> _SearchNode:
-        m = self.cluster.num_devices
-        prop_sid = comm_sid = -1
-        properties: FrozenSet[Property] = frozenset()
-        communicated: FrozenSet[str] = frozenset()
-        if self._fast_sids:
-            properties, prop_sid = self._intern_propset(properties)
-            communicated, comm_sid = self._intern_commset(communicated)
         return _SearchNode(
             parent=None,
             rule=None,
-            properties=properties,
+            properties=0,
             completed=0,
-            communicated=communicated,
+            communicated=0,
             closed_cost=0.0,
-            stage_comp=tuple([0.0] * m),
+            stage_comp=self._zero_stage,
             completed_ideal=0.0,
             depth=0,
-            prop_sid=prop_sid,
-            comm_sid=comm_sid,
         )
 
     def _result(
@@ -820,12 +828,7 @@ class ProgramSynthesizer:
         recorded as ``(parent index in the entering beam, applied-rule chain)``
         pairs so a repeated-block occurrence can replay them.
         """
-        interning = self.config.enable_state_interning
         children: Dict[Tuple, Tuple[_SearchNode, Tuple[float, ...]]] = {}
-        # Keys from different levels never meet in one dict, so the
-        # intern table is per-level — the triples become garbage with the
-        # level instead of accumulating for the whole run.
-        state_ids: Dict[Tuple, int] = {}
         comp_rules = self.theory.comp_rules_by_node.get(node_name, [])
         if not comp_rules:
             raise SynthesisError(f"no sharding rules for node {node_name!r}")
@@ -834,17 +837,7 @@ class ProgramSynthesizer:
             for rule in comp_rules:
                 for child in self._expand_with_rule(state, rule, ratios):
                     self._bm_generated += 1
-                    if child.prop_sid >= 0:
-                        # Interned ids from the fast _apply path: the key
-                        # hashes three machine words, no frozensets.
-                        key = (child.prop_sid, child.completed, child.comm_sid)
-                    else:
-                        key = (child.properties, child.completed, child.communicated)
-                        if interning:
-                            sid = state_ids.get(key)
-                            if sid is None:
-                                sid = state_ids[key] = len(state_ids)
-                            key = sid
+                    key = (child.properties, child.completed, child.communicated)
                     closed = child.closed_cost
                     vector = tuple([closed + c for c in child.stage_comp])
                     existing = children.get(key)
@@ -913,68 +906,12 @@ class ProgramSynthesizer:
             return states
         return self._node_run_parallel(states, node_names, ratios, beam_width)
 
-    def _ensure_wire_tables(self) -> None:
-        """Build the process-independent encodings of rules and state sets.
-
-        Rules are indexed by position in ``theory.rules`` (the per-node /
-        per-ref candidate indexes reference those same objects, so every rule
-        a worker can apply has an index).  Properties and communicated refs
-        are indexed by deterministically sorted tables derived from the rule
-        set alone — ``(ref, kind, dim)`` is a complete key for a property —
-        so parent and forked workers agree on every id without coordination.
-        """
-        if self._wire_ready:
-            return
-        self._rule_wire_index = {id(r): i for i, r in enumerate(self.theory.rules)}
-        props: Set[Property] = set()
-        refs: Set[str] = set()
-        for rule in self.theory.rules:
-            props.update(rule.pre)
-            props.update(rule.post)
-            refs.update(rule.communicates)
-        self._wire_props = tuple(
-            sorted(
-                props,
-                key=lambda p: (
-                    p.ref,
-                    p.state.kind.value,
-                    -1 if p.state.dim is None else p.state.dim,
-                ),
-            )
-        )
-        self._prop_wire_ids = {p: i for i, p in enumerate(self._wire_props)}
-        self._wire_refs = tuple(sorted(refs))
-        self._ref_wire_ids = {r: i for i, r in enumerate(self._wire_refs)}
-        self._wire_ready = True
-
-    def _encode_sets(
-        self, properties: FrozenSet[Property], communicated: FrozenSet[str]
-    ) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
-        """Canonical wire-id tuples for one (property set, communicated set).
-
-        Memoized per frozenset: beam states reuse a small population of
-        interned sets, so the sort runs once per distinct set instead of once
-        per generated child, and the shared tuple objects let pickle's memo
-        table deduplicate them inside one shard reply.  The wire tables are
-        fixed per synthesizer, so the memo never goes stale.
-        """
-        pids = self._propenc_cache.get(properties)
-        if pids is None:
-            pids = tuple(sorted(self._prop_wire_ids[p] for p in properties))
-            self._propenc_cache[properties] = pids
-        cids = self._commenc_cache.get(communicated)
-        if cids is None:
-            cids = tuple(sorted(self._ref_wire_ids[c] for c in communicated))
-            self._commenc_cache[communicated] = cids
-        return pids, cids
-
     def _encode_state(self, node: _SearchNode) -> Tuple:
         """Compact, process-independent snapshot of one beam state."""
-        pids, cids = self._encode_sets(node.properties, node.communicated)
         return (
-            pids,
+            node.properties,
             node.completed,
-            cids,
+            node.communicated,
             node.closed_cost,
             node.stage_comp,
             node.completed_ideal,
@@ -984,51 +921,30 @@ class ProgramSynthesizer:
 
     def _decode_state(self, encoded: Tuple) -> _SearchNode:
         """Worker-side inverse of `_encode_state` (a bare, parentless node)."""
-        prop_ids, completed, ref_ids, closed, stage, ideal, depth, topo_ptr = encoded
-        properties = frozenset(self._wire_props[i] for i in prop_ids)
-        communicated = frozenset(self._wire_refs[i] for i in ref_ids)
-        prop_sid = comm_sid = -1
-        if self._fast_sids:
-            properties, prop_sid = self._intern_propset(properties)
-            communicated, comm_sid = self._intern_commset(communicated)
-        return _SearchNode(
-            parent=None,
-            rule=None,
-            properties=properties,
-            completed=completed,
-            communicated=communicated,
-            closed_cost=closed,
-            stage_comp=stage,
-            completed_ideal=ideal,
-            depth=depth,
-            topo_ptr=topo_ptr,
-            prop_sid=prop_sid,
-            comm_sid=comm_sid,
-        )
+        return _SearchNode(None, None, *encoded)
 
     def _expand_shard(
         self,
         node_name: str,
         ratios: Tuple[float, ...],
         shard: List[Tuple[int, Tuple]],
-        search_serial: int,
     ) -> Tuple:
         """Worker-side expansion of one shard of a beam level.
 
         Runs the exact per-state loop of `_beam_level` (same rule order, same
         `_expand_with_rule`, same memoized cost plans) over the shard and
         returns every generated child *unmerged*, in generation order, in
-        columnar form: per-child key columns ``(property ids, completed,
-        comm ids)``, one packed double array holding ``closed ‖ stage_comp ‖
-        completed_ideal`` per child (the parent reads it zero-copy with
-        ``np.frombuffer``), int columns for ``depth``/``topo_ptr``/parent
-        index, and the applied-rule chains.  Together the columns are the
-        child's full `_encode_state` snapshot, so the parent can merge/rank
-        the level and feed the survivors straight into the next level's
-        shards without decoding or re-applying anything.  Merging must stay
-        in the parent: the epsilon dominance fold is order-dependent, so only
-        a single global left-to-right pass over all children reproduces the
-        serial survivors.
+        columnar form: per-child key columns ``(properties, completed,
+        communicated)`` — the state's own bitmask ints — one packed double
+        array holding ``closed ‖ stage_comp ‖ completed_ideal`` per child
+        (the parent reads it zero-copy with ``np.frombuffer``), int columns
+        for ``depth``/``topo_ptr``/parent index, and the applied-rule chains.
+        Together the columns are the child's full `_encode_state` snapshot,
+        so the parent can merge/rank the level and feed the survivors
+        straight into the next level's shards without decoding or
+        re-applying anything.  Merging must stay in the parent: the epsilon
+        dominance fold is order-dependent, so only a single global
+        left-to-right pass over all children reproduces the serial survivors.
         """
         ratios = tuple(ratios)
         if ratios != self._plan_ratios:
@@ -1038,17 +954,10 @@ class ProgramSynthesizer:
             self._rule_plans.clear()
             self._rule_runtime.clear()
             self._plan_ratios = ratios
-        if search_serial != self._search_serial:
-            self._propset_intern.clear()
-            self._commset_intern.clear()
-            self._prop_transition.clear()
-            self._comm_transition.clear()
-            self._search_serial = search_serial
-        self._ensure_wire_tables()
         comp_rules = self.theory.comp_rules_by_node.get(node_name, [])
-        pids_col: List[Tuple[int, ...]] = []
+        props_col: List[int] = []
         completeds: List[int] = []
-        cids_col: List[Tuple[int, ...]] = []
+        comms_col: List[int] = []
         floats = array("d")
         depths: List[int] = []
         topos: List[int] = []
@@ -1066,10 +975,9 @@ class ProgramSynthesizer:
                         chain.append(self._rule_wire_index[id(cursor.rule)])
                         cursor = cursor.parent
                     chain.reverse()
-                    pids, cids = self._encode_sets(child.properties, child.communicated)
-                    pids_col.append(pids)
+                    props_col.append(child.properties)
                     completeds.append(child.completed)
-                    cids_col.append(cids)
+                    comms_col.append(child.communicated)
                     floats.append(child.closed_cost)
                     floats.extend(child.stage_comp)
                     floats.append(child.completed_ideal)
@@ -1077,7 +985,7 @@ class ProgramSynthesizer:
                     topos.append(child.topo_ptr)
                     parents.append(parent_index)
                     chains.append(tuple(chain))
-        return pids_col, completeds, cids_col, floats, depths, topos, parents, chains, generated
+        return props_col, completeds, comms_col, floats, depths, topos, parents, chains, generated
 
     def _node_run_parallel(
         self,
@@ -1109,7 +1017,6 @@ class ProgramSynthesizer:
         """
         pool = self._level_pool
         assert pool is not None
-        self._ensure_wire_tables()
         # Carrier: (encoded state, index into `states`, chain link), where a
         # link is None (still the base state) or (parent link, rule tuple).
         carriers: List[Tuple[Tuple, int, Optional[Tuple]]] = [
@@ -1129,9 +1036,7 @@ class ProgramSynthesizer:
                     [(cursor + j, carriers[cursor + j][0]) for j in range(size)]
                 )
                 cursor += size
-            tasks = [
-                (node_name, tuple(ratios), shard, self._search_serial) for shard in shards
-            ]
+            tasks = [(node_name, tuple(ratios), shard) for shard in shards]
             try:
                 replies = pool.run_sharded(_expand_shard_task, "synthesizer", tasks)
             except workerpool.WorkerCrash as exc:
@@ -1140,25 +1045,25 @@ class ProgramSynthesizer:
                 ) from exc
             # Reassemble the columnar replies in shard order (= serial
             # generation order) and run the single global merge.
-            pids_col: List[Tuple[int, ...]] = []
+            props_col: List[int] = []
             completeds: List[int] = []
-            cids_col: List[Tuple[int, ...]] = []
+            comms_col: List[int] = []
             float_bufs: List[array] = []
             depths: List[int] = []
             topos: List[int] = []
             parents: List[int] = []
             chains: List[Tuple[int, ...]] = []
             for reply in replies:
-                pids_col.extend(reply[0])
+                props_col.extend(reply[0])
                 completeds.extend(reply[1])
-                cids_col.extend(reply[2])
+                comms_col.extend(reply[2])
                 float_bufs.append(reply[3])
                 depths.extend(reply[4])
                 topos.extend(reply[5])
                 parents.extend(reply[6])
                 chains.extend(reply[7])
                 self._bm_generated += reply[8]
-            count = len(pids_col)
+            count = len(props_col)
             if count == 0:
                 raise SynthesisError(
                     f"beam search dead-ended at node {node_name!r}: no variant of the "
@@ -1176,7 +1081,7 @@ class ProgramSynthesizer:
             limits = vectors + 1e-15
             children: Dict[Tuple, int] = {}
             for i in range(count):
-                key = (pids_col[i], completeds[i], cids_col[i])
+                key = (props_col[i], completeds[i], comms_col[i])
                 j = children.get(key)
                 if j is not None and (vectors[j] <= limits[i]).all():
                     continue
@@ -1191,9 +1096,9 @@ class ProgramSynthesizer:
             for oi in order[:beam_width]:
                 row = rows[oi]
                 encoded = (
-                    pids_col[row],
+                    props_col[row],
                     completeds[row],
-                    cids_col[row],
+                    comms_col[row],
                     float(cols[row, 0]),
                     tuple(cols[row, 1 : k + 1].tolist()),
                     float(cols[row, k + 1]),
@@ -1219,9 +1124,9 @@ class ProgramSynthesizer:
             node = _SearchNode(
                 parent=node,
                 rule=self.theory.rules[rule_index],
-                properties=frozenset(),
+                properties=0,
                 completed=0,
-                communicated=frozenset(),
+                communicated=0,
                 closed_cost=0.0,
                 stage_comp=(),
                 completed_ideal=0.0,
@@ -1322,6 +1227,17 @@ class ProgramSynthesizer:
                 if consumer not in block_nodes:
                     mask |= 1 << self._node_index[consumer]
             pending_masks.append(mask)
+        prop_mask = comm_mask = 0
+        prop_local: Dict[int, Tuple[int, str, int]] = {}
+        comm_bits: List[int] = []
+        for ref in occ_refs:
+            prop_mask |= self._ref_props.get(ref, 0)
+            for i in self._ref_bit_range.get(ref, ()):
+                _, kind, dim = self._bit_props[i].sort_key()
+                prop_local[i] = (ref_idx[ref], kind, dim)
+            index = self._ref_index.get(ref)
+            comm_bits.append(0 if index is None else 1 << index)
+            comm_mask |= comm_bits[-1]
         return _OccurrenceInfo(
             node_names=node_names,
             occ_refs=occ_refs,
@@ -1329,6 +1245,11 @@ class ProgramSynthesizer:
             ref_bits=ref_bits,
             relevant_mask=relevant_mask,
             pending_masks=tuple(pending_masks),
+            prop_mask=prop_mask,
+            prop_local=prop_local,
+            comm_mask=comm_mask,
+            comm_local={i: ref_idx[self._bit_refs[i]] for i in _bit_indexes(comm_mask)},
+            comm_bits=tuple(comm_bits),
         )
 
     def _block_occurrence(
@@ -1374,13 +1295,13 @@ class ProgramSynthesizer:
 
     def _exit_encoding(self, state: _SearchNode, info: _OccurrenceInfo) -> Tuple:
         """Block-relevant part of an exit state, in block-local indices."""
-        ref_idx = info.ref_idx
+        prop_local, comm_local = info.prop_local, info.comm_local
         rel_props = tuple(
-            (ref_idx[p.ref], p.state)
-            for p in state.properties
-            if p.ref in ref_idx
+            prop_local[i] for i in _bit_indexes(state.properties & info.prop_mask)
         )
-        rel_comm = tuple(ref_idx[c] for c in state.communicated if c in ref_idx)
+        rel_comm = tuple(
+            comm_local[i] for i in _bit_indexes(state.communicated & info.comm_mask)
+        )
         completed = state.completed
         rel_completed = tuple(
             i for i, bit in enumerate(info.ref_bits) if completed & bit
@@ -1492,32 +1413,32 @@ class ProgramSynthesizer:
         this determines when the liveness optimisation may drop the reference
         mid-block, so it must agree with the template's.
         """
-        ref_idx = info.ref_idx
+        prop_local, comm_local = info.prop_local, info.comm_local
+        prop_mask, comm_mask = info.prop_mask, info.comm_mask
         ref_bits = info.ref_bits
         pending_masks = info.pending_masks
         relevant_mask = info.relevant_mask
         pattern_ids: Dict[Tuple, int] = {}
         sig: List[Tuple] = []
         for state in states:
-            rel_props: List[Tuple] = []
-            irr_props: List[Property] = []
-            for p in state.properties:
-                i = ref_idx.get(p.ref)
-                if i is None:
-                    irr_props.append(p)
-                else:
-                    rel_props.append((i, p.state.kind.value, p.state.dim))
-            rel_props.sort(key=lambda t: (t[0], t[1], -1 if t[2] is None else t[2]))
-            rel_comm = sorted(ref_idx[c] for c in state.communicated if c in ref_idx)
-            irr_comm = frozenset(c for c in state.communicated if c not in ref_idx)
-            completed = state.completed
+            props, communicated, completed = (
+                state.properties,
+                state.communicated,
+                state.completed,
+            )
+            rel_props = sorted(prop_local[i] for i in _bit_indexes(props & prop_mask))
+            rel_comm = sorted(comm_local[i] for i in _bit_indexes(communicated & comm_mask))
             rel_completed = tuple(
                 1 if completed & bit else 0 for bit in ref_bits
             )
             ext_pending = tuple(
                 1 if mask & ~completed else 0 for mask in pending_masks
             )
-            pattern_key = (frozenset(irr_props), irr_comm, completed & ~relevant_mask)
+            pattern_key = (
+                props & ~prop_mask,
+                communicated & ~comm_mask,
+                completed & ~relevant_mask,
+            )
             pid = pattern_ids.setdefault(pattern_key, len(pattern_ids))
             sig.append((tuple(rel_props), tuple(rel_comm), rel_completed, ext_pending, pid))
         return tuple(sig)
@@ -1564,7 +1485,7 @@ class ProgramSynthesizer:
                     rule = self._translate_descriptor(descriptor, info, node_name)
                     if rule is None:
                         return None
-                    plan, _, ideals, _ = self._replay_runtime(rule, ratios)
+                    plan, _, ideals, *_ = self._rule_runtime_of(rule, ratios)
                     for kind, payload in plan:
                         if kind == _SYNC:
                             closed += max(stage) + payload
@@ -1583,8 +1504,6 @@ class ProgramSynthesizer:
             if not new_states:
                 return None
             current = new_states
-        self._bm_generated += applied
-        self._bm_expanded += len(record.levels)
         # Reconstruct the exit beam (final level is needed in full, so the
         # positions are contiguous and sorting restores the template order).
         out: List[_SearchNode] = []
@@ -1600,24 +1519,12 @@ class ProgramSynthesizer:
                 depth,
                 tail,
             )
+            if exit_state is None:
+                return None
             out.append(exit_state)
+        self._bm_generated += applied
+        self._bm_expanded += len(record.levels)
         return out
-
-    def _replay_runtime(self, rule: Rule, ratios: Sequence[float]) -> Tuple:
-        """(cost plan, completes mask, ideal deltas, liveness candidates).
-
-        Shares the :meth:`_apply_fast` runtime cache; safe to populate even
-        when cost memoization is off, because the memoized plans replay the
-        identical float operations.
-        """
-        rid = id(rule)
-        runtime = self._rule_runtime.get(rid)
-        if runtime is None:
-            runtime = self._rule_runtime[rid] = (
-                self._rule_plan(rule, ratios),
-                *self._rule_static(rule),
-            )
-        return runtime
 
     def _reconstruct_exit(
         self,
@@ -1629,24 +1536,30 @@ class ProgramSynthesizer:
         ideal: float,
         depth: int,
         tail: _SearchNode,
-    ) -> _SearchNode:
-        """Build a full exit state from pass-through context + template encoding."""
+    ) -> Optional[_SearchNode]:
+        """Build a full exit state from pass-through context + template encoding.
+
+        Context irrelevant to the block is the root's masks with the
+        occurrence's bits cleared; the relevant bits come from the template's
+        block-local encoding.  ``None`` if the template holds a property this
+        occurrence's theory never mentions (the caller then re-expands).
+        """
         rel_props, rel_comm, rel_completed = exit_rel
-        ref_idx = info.ref_idx
-        occ_refs = info.occ_refs
-        props = [p for p in root.properties if p.ref not in ref_idx]
-        props.extend(Property(occ_refs[i], state) for i, state in rel_props)
-        properties: FrozenSet[Property] = frozenset(props)
-        communicated_set = {c for c in root.communicated if c not in ref_idx}
-        communicated_set.update(occ_refs[i] for i in rel_comm)
-        communicated: FrozenSet[str] = frozenset(communicated_set)
+        properties = root.properties & ~info.prop_mask
+        local_props = info.local_props
+        for enc in rel_props:
+            bit = local_props.get(enc)
+            if bit is None:
+                return None
+            properties |= bit
+        communicated = root.communicated & ~info.comm_mask
+        for i in rel_comm:
+            if not info.comm_bits[i]:
+                return None
+            communicated |= info.comm_bits[i]
         completed = root.completed & ~info.relevant_mask
         for i in rel_completed:
             completed |= info.ref_bits[i]
-        prop_sid = comm_sid = -1
-        if self._fast_sids:
-            properties, prop_sid = self._intern_propset(properties)
-            communicated, comm_sid = self._intern_commset(communicated)
         node = _SearchNode.__new__(_SearchNode)
         node.parent = tail.parent
         node.rule = tail.rule
@@ -1658,8 +1571,6 @@ class ProgramSynthesizer:
         node.completed_ideal = ideal
         node.depth = depth
         node.topo_ptr = self._advance_topo_ptr(root.topo_ptr, completed)
-        node.prop_sid = prop_sid
-        node.comm_sid = comm_sid
         return node
 
     def _translate_descriptor(
@@ -1694,36 +1605,44 @@ class ProgramSynthesizer:
         self, state: _SearchNode, rule: Rule, ratios: Sequence[float]
     ) -> List[_SearchNode]:
         """Apply a computation rule, inserting enabling collectives if needed."""
-        missing = [p for p in self._ordered_pre(rule) if p not in state.properties]
         if self._indexing:
             if state.completed & self._completes_mask[id(rule)]:
                 return []
         elif any(n for n in rule.completes if state.completed & (1 << self._node_index[n])):
             return []
-        if not missing:
-            return [self._apply(state, rule, ratios)]
-        # Find, for every missing precondition, the collectives that produce
-        # it.  With rule indexing the state-independent "which collectives
-        # establish this property" part comes from the ``comm_rules_by_post``
-        # index (same rules, same order as filtering the per-ref table); only
-        # the per-state filters remain in the loop.
-        option_sets: List[List[Rule]] = []
         props, communicated = state.properties, state.communicated
-        for prop in missing:
+        pre = self._rule_bits(rule)[0]
+        if (props & pre) == pre:
+            return [self._apply(state, rule, ratios)]
+        # Find, for every missing precondition (in ordered_pre order), the
+        # collectives that produce it.  With rule indexing the
+        # state-independent "which collectives establish this property" part
+        # comes from the ``comm_rules_by_post`` index (same rules, same order
+        # as filtering the per-ref table); only the per-state filters remain.
+        option_sets: List[List[Rule]] = []
+        for prop, index in self._ordered_pre(rule):
+            if props >> index & 1:
+                continue
             if self._indexing:
+                enablers = self._enablers.get(index)
+                if enablers is None:
+                    enablers = self._enablers[index] = [
+                        (comm, *self._rule_bits(comm)[::2])
+                        for comm in self.theory.comm_rules_by_post.get(prop, ())
+                    ]
                 options = [
                     comm
-                    for comm in self.theory.comm_rules_by_post.get(prop, ())
-                    if comm.pre <= props and not (comm.communicates & communicated)
+                    for comm, comm_pre, comm_refs in enablers
+                    if (props & comm_pre) == comm_pre and not comm_refs & communicated
                 ]
             else:
-                options = [
-                    comm
-                    for comm in self.theory.comm_rules_by_ref.get(prop.ref, [])
-                    if prop in comm.post
-                    and comm.pre <= props
-                    and not (comm.communicates & communicated)
-                ]
+                options = []
+                for comm in self.theory.comm_rules_by_ref.get(prop.ref, []):
+                    if prop not in comm.post:
+                        continue
+                    comm_pre, _, comm_refs = self._rule_bits(comm)
+                    if (props & comm_pre) == comm_pre and not comm_refs & communicated:
+                        options.append(comm)
             if not options:
                 return []
             option_sets.append(options)
@@ -1749,36 +1668,19 @@ class ProgramSynthesizer:
             results.append(self._apply(current, rule, ratios))
         return results
 
-    def _ordered_pre(self, rule: Rule) -> Tuple[Property, ...]:
-        """Preconditions of a rule in a deterministic, name-independent order.
+    def _ordered_pre(self, rule: Rule) -> Tuple[Tuple[Property, int], ...]:
+        """:func:`~repro.core.rules.ordered_pre` with each property's bit index.
 
-        ``rule.pre`` is a frozenset, whose iteration order depends on the hash
-        values of the reference names; enumerating missing preconditions in
-        that order would make both the generated-children order and the
-        enabling-collective instruction order vary between isomorphic graphs
-        (and with ``PYTHONHASHSEED``).  The computation instruction's input
-        order is structural, so it is used as the primary order, with any
-        leftover preconditions appended in sorted order.
+        Enumerating missing preconditions in this structural order keeps the
+        generated-children order and the enabling-collective instruction
+        order independent of string hashing and identical between
+        isomorphic graphs.
         """
         entry = self._pre_order_cache.get(id(rule))
         if entry is None:
-            ordered: List[Property] = []
-            primary = rule.instructions[-1] if rule.instructions else None
-            if isinstance(primary, CompInstruction):
-                for prop in primary.inputs:
-                    if prop in rule.pre and prop not in ordered:
-                        ordered.append(prop)
-            if len(ordered) < len(rule.pre):
-                leftover = sorted(
-                    (p for p in rule.pre if p not in ordered),
-                    key=lambda p: (
-                        p.ref,
-                        p.state.kind.value,
-                        -1 if p.state.dim is None else p.state.dim,
-                    ),
-                )
-                ordered.extend(leftover)
-            entry = self._pre_order_cache[id(rule)] = tuple(ordered)
+            index = self._prop_index
+            entry = tuple((prop, index[prop]) for prop in ordered_pre(rule))
+            self._pre_order_cache[id(rule)] = entry
         return entry
 
     # -- unrestricted A* search (Fig. 10) ----------------------------------------------
@@ -1823,7 +1725,6 @@ class ProgramSynthesizer:
         # sum-sorted Pareto front (same dominance predicate, early-exit
         # scans); otherwise in the seed's flat list scanned in full.
         use_pareto = self.config.enable_pareto_store
-        interning = self.config.enable_state_interning
         fronts: Dict[Tuple, ParetoFront] = {}
         best_vectors: Dict[Tuple, List[Tuple[float, ...]]] = {}
         best_complete: Optional[_SearchNode] = None
@@ -1833,8 +1734,6 @@ class ProgramSynthesizer:
         trim = _allow_trim and self.config.beam_width is not None
         expanded = 0
         generated = 1
-        # Interned state-key ids live for the duration of one search.
-        state_ids: Dict[Tuple, int] = {}
         # Local bindings of loop-invariant lookups (hot loop).
         output_mask = self._output_mask
         total_ideal = self._total_ideal
@@ -1865,15 +1764,7 @@ class ProgramSynthesizer:
                         best_cost = cost
                         best_complete = child
                     continue
-                if child.prop_sid >= 0:
-                    key = (child.prop_sid, child.completed, child.comm_sid)
-                else:
-                    key = (child.properties, child.completed, child.communicated)
-                    if interning:
-                        sid = state_ids.get(key)
-                        if sid is None:
-                            sid = state_ids[key] = len(state_ids)
-                        key = sid
+                key = (child.properties, child.completed, child.communicated)
                 vector = tuple([closed + c for c in stage_comp])
                 if use_pareto:
                     front = fronts.get(key)
@@ -1934,8 +1825,8 @@ def _expand_shard_task(
     The synthesizer arrives as the pool's registered ``"synthesizer"``
     payload — shipped to workers by fork copy-on-write, never pickled.
     """
-    node_name, ratios, shard, search_serial = args
-    return synthesizer._expand_shard(node_name, ratios, shard, search_serial)
+    node_name, ratios, shard = args
+    return synthesizer._expand_shard(node_name, ratios, shard)
 
 
 def synthesize_program(

@@ -1,8 +1,8 @@
 """Parity of the synthesizer's hot-path optimisations.
 
-Every optimisation behind a ``SynthesisConfig`` flag (rule indexing, state
-interning, the Pareto dominance store, cost-model memoization, vectorized
-cost evaluation) is required to be *result-identical*: toggling it must not
+Every optimisation behind a ``SynthesisConfig`` flag (rule indexing, the
+Pareto dominance store, cost-model memoization, vectorized cost evaluation)
+is required to be *result-identical*: toggling it must not
 change the synthesized instruction sequence nor the estimated cost by a
 single bit.  These tests run the synthesizer with each optimisation disabled
 individually and all disabled at once, and compare against the fully
@@ -31,7 +31,6 @@ from .conftest import build_mlp, build_tiny_moe, build_tiny_transformer, make_cl
 
 OPT_FLAGS = (
     "enable_rule_indexing",
-    "enable_state_interning",
     "enable_pareto_store",
     "enable_cost_memoization",
     "enable_vectorized_cost",
@@ -181,6 +180,25 @@ class TestBlockReuseParity:
         # The flag must actually replay — a silent no-op would pass parity.
         assert synthesizer.reuse_stats["replayed"] > 0
         assert synthesizer.reuse_stats["fallbacks"] == 0
+
+    @pytest.mark.parametrize("model,full_layers", [("vit", 8), ("bert_moe", 12)])
+    def test_block_reuse_registry_models(self, model, full_layers, parity_cluster):
+        """Replay keeps the template's survivors without re-ranking them, so
+        identity is an empirical property: check it on 2-layer registry
+        training graphs (ViT, MoE) besides the toy transformer."""
+        from repro.models import BenchmarkScale, build_model
+
+        scale = BenchmarkScale("L2", layer_fraction=2 / full_layers)
+        graph = build_training_graph(
+            build_model(model, num_gpus=parity_cluster.num_devices, scale=scale)
+        ).graph
+        reference = _synthesize(graph, parity_cluster, "beam")
+        config = SynthesisConfig(
+            search_strategy="beam", beam_width=8, enable_block_reuse=True
+        )
+        synthesizer = ProgramSynthesizer(graph, parity_cluster, config)
+        _assert_identical(reference, synthesizer.synthesize(), f"{model}/beam/block-reuse")
+        assert synthesizer.reuse_stats["replayed"] > 0
 
     def test_block_reuse_composes_with_other_flags_off(
         self, deep_training, parity_cluster

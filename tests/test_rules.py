@@ -1,6 +1,14 @@
 """Tests for the background theory: properties, sharding variants, Hoare rules."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
+
+import repro
 
 from repro.collectives import CollectiveKind
 from repro.core import (
@@ -14,8 +22,8 @@ from repro.core import (
     replicated,
     sharded,
 )
-from repro.core.rules import _reshape_dim_map, source_variants
-from repro.graph import DType, GraphBuilder
+from repro.core.rules import _fuse_sources, _reshape_dim_map, ordered_pre, source_variants
+from repro.graph import DType, GraphBuilder, OpKind
 
 
 class TestProperties:
@@ -216,8 +224,6 @@ class TestTheory:
         theory = build_theory(transformer_training.graph, four_device_cluster.num_devices)
         assert len(theory) > 100
         # every non-source node has at least one computation rule
-        from repro.graph.ops import OpKind
-
         for node in transformer_training.graph:
             if node.kind is not OpKind.SOURCE:
                 assert node.name in theory.comp_rules_by_node, node.name
@@ -289,3 +295,68 @@ class TestTheory:
                 for instr in rule.instructions:
                     if instr.is_communication and instr.input.ref == ref:
                         assert instr.kind is CollectiveKind.ALL_TO_ALL
+
+
+class TestHashSeedIndependence:
+    """Theories and plans must not depend on string hashing.
+
+    ``rule.pre`` is a frozenset, so anything that iterates it directly follows
+    ``PYTHONHASHSEED``; fused-source variants once did, which reordered the
+    source instructions of bert_base / bert_moe plans between processes.
+    """
+
+    PLAN_SCRIPT = """
+import json, sys
+from repro.cluster import ClusterSpec, Machine, NetworkSpec, device_type
+from repro.hap import hap
+from repro.models import build_tiny_model
+machines = [Machine(f"m{i}", device_type(k), num_gpus=1)
+            for i, k in enumerate(("A100", "A100", "P100", "P100"))]
+cluster = ClusterSpec(machines, network=NetworkSpec(bandwidth=100e9 / 8, latency=20e-6))
+out = {}
+for name in sys.argv[1:]:
+    plan = hap(build_tiny_model(name), cluster)
+    out[name] = [instr.describe() for instr in plan.program.instructions]
+print(json.dumps(out))
+"""
+
+    def _plan_in_subprocess(self, hash_seed):
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONHASHSEED=str(hash_seed), REPRO_VERIFY="1")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", self.PLAN_SCRIPT, "bert_base", "bert_moe"],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=600,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout.strip().splitlines()[-1])
+
+    def test_plans_identical_across_hash_seeds(self):
+        first = self._plan_in_subprocess(1)
+        second = self._plan_in_subprocess(2)
+        assert set(first) == {"bert_base", "bert_moe"}
+        for name in first:
+            assert first[name], name
+            assert first[name] == second[name], f"{name}: instruction lists differ"
+
+    def test_fused_sources_follow_consumer_input_order(self, mlp_training):
+        graph = mlp_training.graph
+        theory = build_theory(graph, 4)
+        source_states = {
+            n.name: source_variants(n, SynthesisConfig(), 4)
+            for n in graph
+            if n.kind is OpKind.SOURCE
+        }
+        checked = 0
+        for rule in theory.rules:
+            if len(rule.instructions) != 1 or not rule.completes:
+                continue
+            order = [p.ref for p in ordered_pre(rule)]
+            for fused in _fuse_sources(rule, graph, source_states):
+                prefix = [i.node for i in fused.instructions[:-1]]
+                assert prefix == [ref for ref in order if ref in prefix]
+                checked += 1
+        assert checked
