@@ -2,7 +2,8 @@
 
 Times program synthesis on the registry models across cluster sizes, running
 the optimised hot path (the ``SynthesisConfig`` defaults) and the unoptimised
-path (every ``enable_*`` hot-path flag off) back to back in the same process,
+path (every ``enable_*`` hot-path flag off), both with block reuse off, back
+to back in the same process,
 and writes the results to ``benchmarks/results/BENCH_synthesis.json`` (a
 git-ignored directory, so bench runs never dirty the tree) for future PRs to
 compare against.  Each row also times a third configuration with only
@@ -110,8 +111,14 @@ def bench_one(
     graph = build_model(model, num_gpus=num_devices, scale=scale)
 
     def make(**flags) -> ProgramSynthesizer:
+        # Block reuse (on by default) would skip most levels on the repeated
+        # layers and hide what the hot-path flags do per level: every side of
+        # this A/B expands every level.
         config = SynthesisConfig(
-            search_strategy=strategy, beam_width=beam_width, **flags
+            search_strategy=strategy,
+            beam_width=beam_width,
+            enable_block_reuse=False,
+            **flags,
         )
         return ProgramSynthesizer(graph, cluster, config)
 
@@ -171,6 +178,7 @@ def bench_block_reuse(args: argparse.Namespace) -> Dict[str, object]:
     graph = build_model(model, num_gpus=num_devices, scale=scale)
 
     def make(**flags) -> ProgramSynthesizer:
+        flags.setdefault("enable_block_reuse", False)
         config = SynthesisConfig(
             search_strategy="beam", beam_width=beam_width, **flags
         )
@@ -249,6 +257,7 @@ def bench_beam_parallel(args: argparse.Namespace) -> Dict[str, object]:
     graph = build_model(model, num_gpus=num_devices, scale=scale)
 
     def make(**flags) -> ProgramSynthesizer:
+        flags.setdefault("enable_block_reuse", False)
         config = SynthesisConfig(
             search_strategy="beam", beam_width=beam_width, **flags
         )

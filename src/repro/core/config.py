@@ -91,17 +91,25 @@ class SynthesisConfig:
             layers, their backward blocks, per-layer optimizer updates) in the
             topological emulation order and replay the beam-search decisions
             of the first occurrence across the later ones instead of
-            re-expanding the full per-level candidate set.  Every replayed
-            step re-runs the exact cost model on the occurrence's own rules,
-            and replay is guarded by a structural entry signature — any
-            mismatch falls back to full expansion (and re-records the block).
-            Replay keeps the template's survivors without re-ranking them at
-            the occurrence's own costs, so identity with the flag-off path is
-            not guaranteed by construction: it holds where the per-occurrence
-            costs rank the candidates as the template's did, which the parity
-            suite (``tests/test_optimization_parity.py``) checks on deep
-            transformer, ViT and MoE training graphs.  Only the
-            level-synchronised beam search uses it.
+            re-expanding the full per-level candidate set.  On by default;
+            ``False`` is kept as the reference side of the parity A/Bs.
+            Every replayed step re-runs the exact cost model on the
+            occurrence's own rules, and replay is guarded by a structural
+            entry signature — any mismatch falls back to full expansion (and
+            re-records the block).  Replay keeps the template's survivors
+            without re-ranking them at the occurrence's own costs, so
+            identity with the flag-off path is not guaranteed by
+            construction.  Each replayed level therefore checks that the
+            survivors' ranking costs (``beam_rank_order``'s primary key) are
+            still non-decreasing in template order, up to float-rounding
+            ties, and falls back otherwise (counted in
+            ``reuse_stats["fallbacks"]``); the parity suite
+            (``tests/test_optimization_parity.py``) checks identity on deep
+            transformer, ViT and MoE training graphs.  Recording is cheap:
+            a template keeps its raw rule chains and converts them to
+            block-local descriptors only when it is first replayed, since
+            most recordings (beam warm-up over the first few occurrences)
+            never are.  Only the level-synchronised beam search uses it.
         verify_after_plan: run the static program verifier
             (:func:`repro.verify.verify_program` — dataflow, collective
             legality, compute-flag and cost-accounting checks) on the
@@ -143,7 +151,7 @@ class SynthesisConfig:
     enable_pareto_store: bool = True
     enable_cost_memoization: bool = True
     enable_vectorized_cost: bool = True
-    enable_block_reuse: bool = False
+    enable_block_reuse: bool = True
     verify_after_plan: bool = field(default_factory=verify_default)
     # Baseline-emulation switches (used by repro.baselines, not by HAP itself):
     # restrict the theory so only data-parallel programs exist, optionally with

@@ -60,6 +60,10 @@ class DistState:
     def sharded(dim: int) -> DistState:
         return DistState(StateKind.SHARDED, dim)
 
+    def sort_key(self) -> Tuple[str, int]:
+        """Total ``(kind, dim)`` order that does not depend on hashing."""
+        return (self.kind.value, -1 if self.dim is None else self.dim)
+
     # -- predicates ----------------------------------------------------------
     @property
     def is_replicated(self) -> bool:
@@ -100,8 +104,7 @@ class Property:
 
     def sort_key(self) -> Tuple[str, str, int]:
         """Total ``(ref, kind, dim)`` order that does not depend on hashing."""
-        dim = -1 if self.state.dim is None else self.state.dim
-        return (self.ref, self.state.kind.value, dim)
+        return (self.ref, *self.state.sort_key())
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return f"{self.ref} | {self.state}"

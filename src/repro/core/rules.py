@@ -606,11 +606,11 @@ def build_theory(
         name = node.name
         if node.kind is OpKind.SOURCE:
             continue  # optimisation #2: sources use *-Shard instructions instead
-        targets = set(wanted[name])
-        if name in graph.outputs:
-            # Outputs only need to exist in some state; no extra targets.
-            pass
-        sources = set(produced[name])
+        # Structural state order: the sets' own iteration order follows the
+        # string hash of StateKind, so it would change with PYTHONHASHSEED.
+        # (Outputs only need to exist in some state; no extra targets.)
+        targets = sorted(wanted[name], key=DistState.sort_key)
+        sources = sorted(produced[name], key=DistState.sort_key)
         if not sources or not targets:
             continue
         for src in sources:

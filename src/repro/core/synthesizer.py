@@ -55,6 +55,12 @@ from .rules import Rule, Theory, build_theory, ordered_pre
 _SYNC = 0
 _COMP = 1
 
+#: Relative tolerance of the block-replay rank-order guard.  Occurrences of a
+#: block enter it with different accumulated costs, so two survivors whose
+#: ranking costs tie in the template can round a few ulps apart in a replay,
+#: in either order; costs this close count as tied.
+_RANK_TIE_RTOL = 1e-12
+
 
 class SynthesisError(RuntimeError):
     """Raised when no semantically equivalent distributed program is found."""
@@ -204,9 +210,9 @@ class _BlockRecord:
     """Recorded beam decisions of one block template.
 
     ``levels[j]`` holds, per surviving beam state of in-block level ``j``, the
-    pair ``(parent index in the entering beam, descriptor chain)`` where the
+    raw pair ``(parent index in the entering beam, rule chain)`` where the
     chain lists the applied rules (enabling collectives, then the computation
-    rule) as block-local structural descriptors.  ``needed[j]`` is the set of
+    rule) of the recording occurrence ``info``.  ``needed[j]`` is the set of
     level-``j`` beam positions consumed by later levels (the rest were padding
     in the template's beam and need not be replayed); the final level is
     needed in full, since the post-block search continues from it.
@@ -217,22 +223,36 @@ class _BlockRecord:
     block unchanged (liveness drops, completions and communications only ever
     touch the block's own references), so only cost accumulation needs to walk
     the decision chains.
+
+    Most records are never replayed (beam warm-up re-records a block until
+    its entry beams settle), so recording stays cheap: the chains are turned
+    into block-local descriptors only on the first replay, and only at the
+    needed positions (``replay_levels``, built by
+    :meth:`ProgramSynthesizer._replay_levels`).
     """
 
-    __slots__ = ("entry_sig", "levels", "needed", "exit_rel")
+    __slots__ = ("entry_sig", "levels", "needed", "exit_rel", "info", "replay_levels")
 
     def __init__(
-        self, entry_sig: Tuple, levels: List[List[Tuple]], exit_rel: List[Tuple]
+        self,
+        entry_sig: Tuple,
+        levels: List[List[Tuple[int, Tuple[Rule, ...]]]],
+        exit_rel: List[Tuple],
+        info: _OccurrenceInfo,
     ) -> None:
         self.entry_sig = entry_sig
         self.levels = levels
         self.exit_rel = exit_rel
+        self.info = info
         needed: List[Set[int]] = [set() for _ in levels]
         if levels:
             needed[-1] = set(range(len(levels[-1])))
             for j in range(len(levels) - 2, -1, -1):
                 needed[j] = {levels[j + 1][pos][0] for pos in needed[j + 1]}
         self.needed = needed
+        #: per level, ``(position, parent index, descriptor chain)`` of the
+        #: needed positions in template order (None until first replayed).
+        self.replay_levels: Optional[List[List[Tuple[int, int, Tuple]]]] = None
 
 
 class ProgramSynthesizer:
@@ -680,10 +700,15 @@ class ProgramSynthesizer:
     def _candidates_for(self, next_node: str) -> List[Rule]:
         comp_rules = self.theory.comp_rules_by_node.get(next_node, [])
         needed_props: Set[Property] = set()
+        # Refs in the variants' ordered_pre order; a set's iteration order
+        # would follow string hashing.
+        needed_refs: Dict[str, None] = {}
         for rule in comp_rules:
             needed_props.update(rule.pre)
+            for prop in ordered_pre(rule):
+                needed_refs.setdefault(prop.ref)
         candidates: List[Rule] = list(comp_rules)
-        for ref in {p.ref for p in needed_props}:
+        for ref in needed_refs:
             for comm_rule in self.theory.comm_rules_by_ref.get(ref, []):
                 if any(p in needed_props for p in comm_rule.post):
                     candidates.append(comm_rule)
@@ -1266,7 +1291,7 @@ class ProgramSynthesizer:
         from the recorded template's) is expanded in full with its decisions
         recorded; matching occurrences replay the recorded decision chains,
         re-running the exact cost model per applied rule.  Replay bails out to
-        full expansion on any structural mismatch.
+        full expansion on any structural mismatch or out-of-order ranking.
         """
         info = self._occ_info[(id(run), occ_idx)]
         sig = self._block_entry_signature(states, info)
@@ -1288,8 +1313,9 @@ class ProgramSynthesizer:
             levels.append(decisions)
         self._reuse_records[id(run)] = _BlockRecord(
             entry_sig=sig,
-            levels=self._normalize_levels(levels, info),
+            levels=levels,
             exit_rel=[self._exit_encoding(state, info) for state in states],
+            info=info,
         )
         return states
 
@@ -1308,19 +1334,26 @@ class ProgramSynthesizer:
         )
         return (rel_props, rel_comm, rel_completed)
 
-    def _normalize_levels(
-        self, levels: List[List[Tuple]], info: _OccurrenceInfo
-    ) -> List[List[Tuple]]:
-        """Convert recorded rule chains into block-local structural descriptors."""
-        out: List[List[Tuple]] = []
-        for decisions in levels:
-            converted: List[Tuple] = []
-            for parent_idx, chain in decisions:
-                converted.append(
-                    (parent_idx, tuple(self._rule_descriptor(rule, info) for rule in chain))
-                )
-            out.append(converted)
-        return out
+    def _replay_levels(self, record: _BlockRecord) -> List[List[Tuple[int, int, Tuple]]]:
+        """The record's needed decisions as block-local descriptors (built once).
+
+        Per level, ``(position, parent index, descriptor chain)`` in template
+        order; positions no later level consumes are never converted.
+        """
+        if record.replay_levels is None:
+            info = record.info
+            record.replay_levels = [
+                [
+                    (
+                        position,
+                        decisions[position][0],
+                        tuple(self._rule_descriptor(rule, info) for rule in decisions[position][1]),
+                    )
+                    for position in sorted(needed)
+                ]
+                for decisions, needed in zip(record.levels, record.needed)
+            ]
+        return record.replay_levels
 
     def _rule_descriptor(self, rule: Rule, info: _OccurrenceInfo) -> Tuple:
         """Block-local descriptor of a rule: (kind, lookup ref index, signature).
@@ -1462,8 +1495,18 @@ class ProgramSynthesizer:
         lightweight "ghost" parents carrying the applied rule, which is what
         program reconstruction walks at the end of the search.
 
+        Survivors are not re-ranked at the occurrence's own costs, so every
+        level checks a necessary condition of identity with full expansion:
+        the needed positions' ranking costs (the primary key of
+        `beam_rank_order`) must be non-decreasing in template order.  Costs
+        within ``_RANK_TIE_RTOL`` of each other count as tied, and ties are
+        never checked further, since their order (like the total-work
+        tie-breaker) follows float rounding of the entry costs rather than
+        the recorded decisions.
+
         Returns ``None`` on any mismatch (untranslatable rule, missing
-        parent), in which case the caller re-expands the occurrence in full.
+        parent, out-of-order ranking costs), in which case the caller
+        re-expands the occurrence in full.
         """
         # Per position: (closed, stage, completed_ideal, depth, tail, root idx).
         current: Dict[int, Tuple] = {
@@ -1471,12 +1514,11 @@ class ProgramSynthesizer:
             for i, s in enumerate(states)
         }
         applied = 0
-        for level, decisions in enumerate(record.levels):
+        for level, decisions in enumerate(self._replay_levels(record)):
             node_name = info.node_names[level]
-            needed = record.needed[level]
             new_states: Dict[int, Tuple] = {}
-            for position in sorted(needed):
-                parent_idx, chain = decisions[position]
+            floor = float("-inf")
+            for position, parent_idx, chain in decisions:
                 entry = current.get(parent_idx)
                 if entry is None:
                     return None
@@ -1500,6 +1542,11 @@ class ProgramSynthesizer:
                     tail = ghost
                     depth += 1
                     applied += 1
+                # == max(closed + c for c in stage), see beam_rank_order.
+                cost = closed + max(stage)
+                if cost < floor:
+                    return None
+                floor = max(floor, cost * (1.0 - _RANK_TIE_RTOL))
                 new_states[position] = (closed, stage, ideal, depth, tail, root_idx)
             if not new_states:
                 return None

@@ -6,7 +6,9 @@ is required to be *result-identical*: toggling it must not
 change the synthesized instruction sequence nor the estimated cost by a
 single bit.  These tests run the synthesizer with each optimisation disabled
 individually and all disabled at once, and compare against the fully
-optimised default.
+optimised default.  Block reuse is on by default, so every reference side
+pins ``enable_block_reuse=False``: the hot-path flags are compared on the
+plain search, and reuse against a search that expands every block.
 """
 
 import dataclasses
@@ -15,6 +17,7 @@ import numpy as np
 import pytest
 
 from repro.autodiff import build_training_graph
+from repro.cluster import NetworkSpec
 from repro.core import (
     CostModel,
     HAPPlanner,
@@ -25,6 +28,7 @@ from repro.core import (
     ProgramSynthesizer,
     SynthesisConfig,
 )
+from repro.core.synthesizer import _BlockRecord
 from repro.graph import DType, GraphBuilder
 
 from .conftest import build_mlp, build_tiny_moe, build_tiny_transformer, make_cluster
@@ -36,6 +40,9 @@ OPT_FLAGS = (
     "enable_vectorized_cost",
 )
 
+#: 8 GPUs of four kinds, the mixed cluster of the production-settings rows.
+MIXED_8 = ("A100", "V100", "A100", "V100", "A10", "P100", "A10", "P100")
+
 MODEL_BUILDERS = {
     "mlp": build_mlp,
     "tiny_transformer": build_tiny_transformer,
@@ -44,6 +51,7 @@ MODEL_BUILDERS = {
 
 
 def _synthesize(graph, cluster, strategy, **flags):
+    flags.setdefault("enable_block_reuse", False)
     config = SynthesisConfig(search_strategy=strategy, beam_width=8, **flags)
     return ProgramSynthesizer(graph, cluster, config).synthesize()
 
@@ -220,7 +228,9 @@ class TestBlockReuseParity:
         )
         synthesizer = ProgramSynthesizer(deep_training, parity_cluster, config)
         reference = ProgramSynthesizer(
-            deep_training, parity_cluster, SynthesisConfig(search_strategy="beam", beam_width=8)
+            deep_training,
+            parity_cluster,
+            SynthesisConfig(search_strategy="beam", beam_width=8, enable_block_reuse=False),
         )
         for ratios in ([0.25] * 4, [0.4, 0.3, 0.2, 0.1], [0.25] * 4):
             _assert_identical(
@@ -228,6 +238,63 @@ class TestBlockReuseParity:
                 synthesizer.synthesize(ratios),
                 f"deep/beam/block-reuse/ratios={ratios}",
             )
+
+    @pytest.mark.parametrize(
+        "model,full_layers,gpus",
+        [
+            ("vit", 8, MIXED_8),
+            ("bert_base", 12, MIXED_8),
+            # 4-layer MoE blocks replay on few clusters: most occurrences
+            # enter with a beam still warming up.
+            ("bert_moe", 12, ("A100", "P100") * 4),
+        ],
+    )
+    def test_block_reuse_at_production_settings(self, model, full_layers, gpus):
+        """Default beam width, 8 mixed GPUs, 4-layer registry training graphs."""
+        from repro.models import BenchmarkScale, build_model
+
+        cluster = make_cluster(gpus, network=NetworkSpec())
+        scale = BenchmarkScale("L4", layer_fraction=4 / full_layers)
+        graph = build_training_graph(
+            build_model(model, num_gpus=cluster.num_devices, scale=scale)
+        ).graph
+        reference = ProgramSynthesizer(
+            graph, cluster, SynthesisConfig(enable_block_reuse=False)
+        ).synthesize()
+        synthesizer = ProgramSynthesizer(graph, cluster, SynthesisConfig())
+        assert synthesizer.config.beam_width == 32
+        _assert_identical(reference, synthesizer.synthesize(), f"{model}/beam32/block-reuse")
+        assert synthesizer.reuse_stats["replayed"] > 0
+        assert synthesizer.reuse_stats["fallbacks"] == 0
+
+    def test_default_config_replays(self, deep_training, parity_cluster):
+        """Block reuse is the default: it must not silently go inert."""
+        synthesizer = ProgramSynthesizer(deep_training, parity_cluster, SynthesisConfig())
+        synthesizer.synthesize()
+        assert synthesizer.reuse_stats["replayed"] >= 1
+
+    def test_out_of_order_template_falls_back(self, deep_training, parity_cluster, monkeypatch):
+        """A template whose survivors are not in ranking order cannot be
+        replayed: the rank-order guard falls back to full expansion."""
+
+        class ReversedExitRecord(_BlockRecord):
+            __slots__ = ()
+
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                # Reverse the exit beam: the final level is needed in full
+                # and its parents stay needed, so the record stays
+                # structurally valid and only the survivor order is wrong.
+                self.levels[-1].reverse()
+                self.exit_rel.reverse()
+
+        reference = _synthesize(deep_training, parity_cluster, "beam")
+        monkeypatch.setattr("repro.core.synthesizer._BlockRecord", ReversedExitRecord)
+        config = SynthesisConfig(search_strategy="beam", beam_width=8)
+        synthesizer = ProgramSynthesizer(deep_training, parity_cluster, config)
+        _assert_identical(reference, synthesizer.synthesize(), "deep/beam/reversed-template")
+        assert synthesizer.reuse_stats["fallbacks"] > 0
+        assert synthesizer.reuse_stats["replayed"] == 0
 
 
 class TestSubplanDedupeParity:

@@ -13,6 +13,7 @@ import repro
 from repro.collectives import CollectiveKind
 from repro.core import (
     DistState,
+    ProgramSynthesizer,
     StateKind,
     SynthesisConfig,
     build_theory,
@@ -24,6 +25,8 @@ from repro.core import (
 )
 from repro.core.rules import _fuse_sources, _reshape_dim_map, ordered_pre, source_variants
 from repro.graph import DType, GraphBuilder, OpKind
+
+from .conftest import make_cluster
 
 
 class TestProperties:
@@ -302,7 +305,9 @@ class TestHashSeedIndependence:
 
     ``rule.pre`` is a frozenset, so anything that iterates it directly follows
     ``PYTHONHASHSEED``; fused-source variants once did, which reordered the
-    source instructions of bert_base / bert_moe plans between processes.
+    source instructions of bert_base / bert_moe plans between processes.  The
+    theory's communication rules once followed the iteration order of
+    ``DistState`` sets (whose ``StateKind`` hash is a string hash) too.
     """
 
     PLAN_SCRIPT = """
@@ -320,12 +325,24 @@ for name in sys.argv[1:]:
 print(json.dumps(out))
 """
 
-    def _plan_in_subprocess(self, hash_seed):
+    THEORY_SCRIPT = """
+import hashlib, json, sys
+from repro.autodiff import build_training_graph
+from repro.core import build_theory
+from repro.models import build_tiny_model
+out = {}
+for name in sys.argv[1:]:
+    theory = build_theory(build_training_graph(build_tiny_model(name)).graph, 4)
+    out[name] = hashlib.sha256(theory.describe().encode()).hexdigest()
+print(json.dumps(out))
+"""
+
+    def _run_in_subprocess(self, script, hash_seed, *models):
         src = str(Path(repro.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONHASHSEED=str(hash_seed), REPRO_VERIFY="1")
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         proc = subprocess.run(
-            [sys.executable, "-c", self.PLAN_SCRIPT, "bert_base", "bert_moe"],
+            [sys.executable, "-c", script, *models],
             env=env,
             capture_output=True,
             text=True,
@@ -335,12 +352,38 @@ print(json.dumps(out))
         return json.loads(proc.stdout.strip().splitlines()[-1])
 
     def test_plans_identical_across_hash_seeds(self):
-        first = self._plan_in_subprocess(1)
-        second = self._plan_in_subprocess(2)
-        assert set(first) == {"bert_base", "bert_moe"}
+        models = ("bert_base", "bert_moe")
+        first = self._run_in_subprocess(self.PLAN_SCRIPT, 1, *models)
+        second = self._run_in_subprocess(self.PLAN_SCRIPT, 2, *models)
+        assert set(first) == set(models)
         for name in first:
             assert first[name], name
             assert first[name] == second[name], f"{name}: instruction lists differ"
+
+    def test_theories_identical_across_hash_seeds(self):
+        models = ("bert_base", "bert_moe", "vit", "vgg19")
+        first = self._run_in_subprocess(self.THEORY_SCRIPT, 1, *models)
+        second = self._run_in_subprocess(self.THEORY_SCRIPT, 2, *models)
+        assert set(first) == set(models)
+        for name in models:
+            assert first[name] == second[name], f"{name}: theory.describe() differs"
+
+    def test_topological_candidates_follow_precondition_order(self, mlp_training):
+        """A*'s per-node candidates list collectives ref by ref in the
+        variants' ordered_pre order, not in a set's hash order."""
+        synth = ProgramSynthesizer(mlp_training.graph, make_cluster(), SynthesisConfig())
+        multi_ref = 0
+        for name, comp_rules in synth.theory.comp_rules_by_node.items():
+            order = list(dict.fromkeys(p.ref for r in comp_rules for p in ordered_pre(r)))
+            comm_refs = [
+                next(iter(r.pre)).ref
+                for r in synth._candidates_for(name)
+                if r.is_communication
+            ]
+            positions = [order.index(ref) for ref in comm_refs]
+            assert positions == sorted(positions), name
+            multi_ref += len(set(comm_refs)) > 1
+        assert multi_ref
 
     def test_fused_sources_follow_consumer_input_order(self, mlp_training):
         graph = mlp_training.graph
