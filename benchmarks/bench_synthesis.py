@@ -42,6 +42,7 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.cluster import ClusterSpec, Machine, NetworkSpec, device_type
 from repro.core import ProgramSynthesizer, SynthesisConfig, close_shared_pool
+from repro.core.workerpool import collector_paused
 from repro.models import MODEL_NAMES, BenchmarkScale, build_model
 
 #: The hot-path optimisation switches A/B-ed by this harness.
@@ -263,11 +264,15 @@ def bench_beam_parallel(args: argparse.Namespace) -> Dict[str, object]:
         )
         return ProgramSynthesizer(graph, cluster, config)
 
-    serial = time_synthesis(make, args.repeats)
+    # Pool workers run every task with the cyclic collector paused, so the
+    # serial side runs paused too: the speedup then measures parallelism,
+    # not garbage-collection savings only one side gets.
     try:
-        parallel = time_synthesis(
-            lambda: make(synthesis_workers=workers), args.repeats
-        )
+        with collector_paused():
+            serial = time_synthesis(make, args.repeats)
+            parallel = time_synthesis(
+                lambda: make(synthesis_workers=workers), args.repeats
+            )
     finally:
         close_shared_pool()
 

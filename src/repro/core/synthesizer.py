@@ -1695,18 +1695,7 @@ class ProgramSynthesizer:
             option_sets.append(options)
         results: List[_SearchNode] = []
         if self._indexing and len(option_sets) > 1:
-            # Share the application of common collective prefixes across
-            # combinations: product() varies the last option set fastest, so a
-            # depth-first walk applies each prefix exactly once while visiting
-            # the combinations (and emitting children) in product() order.
-            def walk(current: _SearchNode, level: int) -> None:
-                if level == len(option_sets):
-                    results.append(self._apply(current, rule, ratios))
-                    return
-                for comm in option_sets[level]:
-                    walk(self._apply(current, comm, ratios), level + 1)
-
-            walk(state, 0)
+            self._expand_prefixes(state, rule, ratios, option_sets, 0, results)
             return results
         for combo in itertools.product(*option_sets):
             current = state
@@ -1714,6 +1703,34 @@ class ProgramSynthesizer:
                 current = self._apply(current, comm, ratios)
             results.append(self._apply(current, rule, ratios))
         return results
+
+    def _expand_prefixes(
+        self,
+        current: _SearchNode,
+        rule: Rule,
+        ratios: Sequence[float],
+        option_sets: Sequence[Sequence[Rule]],
+        level: int,
+        results: List[_SearchNode],
+    ) -> None:
+        """Append ``rule``'s children for every enabling-collective combination.
+
+        Shares the application of common collective prefixes across
+        combinations: product() varies the last option set fastest, so this
+        depth-first walk applies each prefix exactly once while visiting the
+        combinations (and emitting children) in product() order.  It is a
+        method, not a nested closure, because a recursive closure refers to
+        itself through its own cell: that cycle would keep the synthesizer,
+        its theory and every search node alive until the cyclic collector
+        ran, and planning runs with that collector paused.
+        """
+        if level == len(option_sets):
+            results.append(self._apply(current, rule, ratios))
+            return
+        for comm in option_sets[level]:
+            self._expand_prefixes(
+                self._apply(current, comm, ratios), rule, ratios, option_sets, level + 1, results
+            )
 
     def _ordered_pre(self, rule: Rule) -> Tuple[Tuple[Property, int], ...]:
         """:func:`~repro.core.rules.ordered_pre` with each property's bit index.

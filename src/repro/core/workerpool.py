@@ -51,12 +51,14 @@ scoped to reuse for request-level parallelism.
 from __future__ import annotations
 
 import atexit
+import gc
 import multiprocessing
 import os
 import traceback
+from contextlib import contextmanager
 from multiprocessing.connection import Connection, wait as _wait_ready
 from multiprocessing.process import BaseProcess
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence
 
 __all__ = [
     "WorkerCrash",
@@ -160,12 +162,41 @@ def fork_available() -> bool:
 
 
 # ---------------------------------------------------------------------------
+# Cyclic garbage collector
+# ---------------------------------------------------------------------------
+
+
+@contextmanager
+def collector_paused() -> Iterator[None]:
+    """Run the body with CPython's cyclic garbage collector disabled.
+
+    Planning allocates millions of small acyclic objects (rules, properties,
+    search nodes), which refcounting frees; the cyclic collector would only
+    re-scan them on every allocation threshold.  The collector is re-enabled
+    on exit only if it was enabled on entry, so nested pauses, exceptions and
+    overlapping calls from several threads all leave it as the outermost
+    caller found it.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+# ---------------------------------------------------------------------------
 # Worker loop
 # ---------------------------------------------------------------------------
 
 
 def _worker_main(conn: Connection) -> None:
     """Serve ``(handler, payload_key, args)`` requests until told to exit."""
+    # A worker forked inside a paused planning call inherits a disabled
+    # collector; start every worker enabled so the per-task pause below alone
+    # decides when it runs.
+    gc.enable()
     while True:
         try:
             message = conn.recv()
@@ -176,7 +207,8 @@ def _worker_main(conn: Connection) -> None:
         handler, payload_key, args = message
         try:
             payload = _PAYLOADS[payload_key] if payload_key is not None else None
-            reply = ("ok", handler(payload, args))
+            with collector_paused():
+                reply = ("ok", handler(payload, args))
         except BaseException:
             reply = ("err", traceback.format_exc())
         try:

@@ -20,6 +20,7 @@ from .cluster.spec import ClusterSpec
 from .core.config import PlannerConfig
 from .core.hierarchical import HierarchicalConfig, HierarchicalPlan, HierarchicalPlanner
 from .core.pipeline import HAPPlan, HAPPlanner
+from .core.workerpool import collector_paused
 from .graph.graph import ComputationGraph
 from .graph.ops import OpKind
 
@@ -48,17 +49,21 @@ def hap(
 
     Returns:
         The :class:`HAPPlan` with program, ratios and estimated iteration time.
+
+    The call runs with the cyclic garbage collector paused (see
+    :func:`~repro.core.workerpool.collector_paused`): planning data is
+    acyclic, so refcounting frees it.
     """
-    graph = model
-    if not _is_training_graph(model):
-        if model.loss is None:
-            raise ValueError(
-                "hap() needs either a training graph (with sgd_update nodes) or a "
-                "forward graph with a marked loss"
-            )
-        graph = build_training_graph(model, lr=lr).graph
-    planner = HAPPlanner(graph, cluster, config)
-    return planner.plan()
+    with collector_paused():
+        graph = model
+        if not _is_training_graph(model):
+            if model.loss is None:
+                raise ValueError(
+                    "hap() needs either a training graph (with sgd_update nodes) or a "
+                    "forward graph with a marked loss"
+                )
+            graph = build_training_graph(model, lr=lr).graph
+        return HAPPlanner(graph, cluster, config).plan()
 
 
 def hap_pipeline(
@@ -89,6 +94,8 @@ def hap_pipeline(
 
     Returns:
         The winning :class:`HierarchicalPlan`.
+
+    Like :func:`hap`, the call runs with the cyclic garbage collector paused.
     """
     if _is_training_graph(model):
         raise ValueError(
@@ -98,4 +105,5 @@ def hap_pipeline(
     config = config or HierarchicalConfig()
     if lr is not None and lr != config.lr:
         config = replace(config, lr=lr)
-    return HierarchicalPlanner(model, cluster, config).plan()
+    with collector_paused():
+        return HierarchicalPlanner(model, cluster, config).plan()
