@@ -1,19 +1,15 @@
 """Synthesis-time benchmark harness.
 
-Times program synthesis on the registry models across cluster sizes, running
-the optimised hot path (the ``SynthesisConfig`` defaults) and the unoptimised
-path (every ``enable_*`` hot-path flag off), both with block reuse off, back
-to back in the same process,
-and writes the results to ``benchmarks/results/BENCH_synthesis.json`` (a
-git-ignored directory, so bench runs never dirty the tree) for future PRs to
-compare against.  Each row also times a third configuration with only
-``enable_vectorized_cost`` off (the ``vectorized_speedup`` column), isolating
-the numpy-batched beam ranking from the other hot-path wins.  It also A/Bs
-``enable_block_reuse`` on a 48-layer BERT, where the synthesizer records each
-distinct block once and replays it, and ``synthesis_workers`` on the same
-model, where beam expansion is sharded across forked workers at every search
-level (serial vs parallel, bit-identical by contract).  Every row records the
-process's peak resident memory after it (``peak_rss_mb``, from ``ru_maxrss``).
+Times program synthesis on the registry models across cluster sizes (block
+reuse off, so every search level is expanded) and writes the results to
+``benchmarks/results/BENCH_synthesis.json`` (a git-ignored directory, so
+bench runs never dirty the tree) for future PRs to compare against.  It also
+A/Bs ``enable_block_reuse`` on a 48-layer BERT, where the synthesizer records
+each distinct block once and replays it, and ``synthesis_workers`` on the
+same model, where beam expansion is sharded across forked workers at every
+search level (serial vs parallel, bit-identical by contract).  Every row
+records the process's peak resident memory after it (``peak_rss_mb``, from
+``ru_maxrss``).
 
 Usage::
 
@@ -21,11 +17,15 @@ Usage::
     PYTHONPATH=src python -m benchmarks.bench_synthesis --fast     # CI-sized sweep
     PYTHONPATH=src python -m benchmarks.bench_synthesis --full     # paper-sized sweep
 
-The harness verifies on every configuration that both paths synthesize
-byte-identical programs and costs (the parity contract also enforced by
-``tests/test_optimization_parity.py``) and records wall-clock (best of
-``--repeats``), expanded/generated state counts, and the speedup.  This file
-deliberately does not match ``test_*.py`` so pytest does not collect it.
+Each sweep row records wall-clock (best of ``--repeats``), the cost and the
+expanded/generated state counts.  The two A/B sections check that both of
+their sides synthesize byte-identical programs and costs (``parity``; the
+contracts of ``tests/test_optimization_parity.py`` and
+``tests/test_parallel_planning.py``).  The committed root
+``BENCH_synthesis.json`` is the frozen history of earlier layouts, including
+the timings of the unoptimized reference paths the synthesizer once kept.
+This file deliberately does not match ``test_*.py`` so pytest does not
+collect it.
 """
 
 from __future__ import annotations
@@ -44,14 +44,6 @@ from repro.cluster import ClusterSpec, Machine, NetworkSpec, device_type
 from repro.core import ProgramSynthesizer, SynthesisConfig, close_shared_pool
 from repro.core.workerpool import collector_paused
 from repro.models import MODEL_NAMES, BenchmarkScale, build_model
-
-#: The hot-path optimisation switches A/B-ed by this harness.
-OPT_FLAGS = (
-    "enable_rule_indexing",
-    "enable_pareto_store",
-    "enable_cost_memoization",
-    "enable_vectorized_cost",
-)
 
 
 def heterogeneous_cluster(num_devices: int) -> ClusterSpec:
@@ -78,7 +70,7 @@ def time_synthesis(make_synthesizer, repeats: int) -> Dict[str, object]:
     A fresh synthesizer is constructed per repeat (outside the timed region)
     so each measurement includes first-touch cache population — the state the
     planner loop actually sees, since changing the sharding ratios between
-    rounds invalidates the memoized cost plans anyway.
+    rounds invalidates the per-rule cost plans anyway.
     """
     best: Optional[float] = None
     result = None
@@ -111,52 +103,30 @@ def bench_one(
     cluster = heterogeneous_cluster(num_devices)
     graph = build_model(model, num_gpus=num_devices, scale=scale)
 
-    def make(**flags) -> ProgramSynthesizer:
+    def make() -> ProgramSynthesizer:
         # Block reuse (on by default) would skip most levels on the repeated
-        # layers and hide what the hot-path flags do per level: every side of
-        # this A/B expands every level.
+        # layers: every row expands every level.
         config = SynthesisConfig(
-            search_strategy=strategy,
-            beam_width=beam_width,
-            enable_block_reuse=False,
-            **flags,
+            search_strategy=strategy, beam_width=beam_width, enable_block_reuse=False
         )
         return ProgramSynthesizer(graph, cluster, config)
 
     t0 = time.perf_counter()
-    optimized_synth = make()
+    synthesizer = make()
     theory_seconds = time.perf_counter() - t0
 
-    naive = time_synthesis(lambda: make(**{flag: False for flag in OPT_FLAGS}), repeats)
-    # Vectorized-cost A/B: every other optimisation on, only the numpy-batched
-    # beam ranking off — isolates the vectorization win from the rest.
-    scalar_rank = time_synthesis(lambda: make(enable_vectorized_cost=False), repeats)
     optimized = time_synthesis(make, repeats)
-
-    naive_result = naive.pop("result")
-    scalar_result = scalar_rank.pop("result")
-    optimized_result = optimized.pop("result")
-    parity = (
-        naive_result.cost == scalar_result.cost == optimized_result.cost
-        and list(naive_result.program.instructions)
-        == list(scalar_result.program.instructions)
-        == list(optimized_result.program.instructions)
-    )
+    optimized.pop("result")
     return {
         "model": model,
         "num_devices": num_devices,
         "strategy": strategy,
         "graph_nodes": len(graph.node_names),
-        "theory_rules": len(optimized_synth.theory),
+        "theory_rules": len(synthesizer.theory),
         "theory_build_seconds": theory_seconds,
         "beam_width": beam_width,
         "repeats": repeats,
-        "naive": naive,
-        "scalar_rank": scalar_rank,
         "optimized": optimized,
-        "speedup": naive["seconds"] / optimized["seconds"],
-        "vectorized_speedup": scalar_rank["seconds"] / optimized["seconds"],
-        "parity": parity,
         "peak_rss_mb": peak_rss_mb(),
     }
 
@@ -178,10 +148,10 @@ def bench_block_reuse(args: argparse.Namespace) -> Dict[str, object]:
     cluster = heterogeneous_cluster(num_devices)
     graph = build_model(model, num_gpus=num_devices, scale=scale)
 
-    def make(**flags) -> ProgramSynthesizer:
-        flags.setdefault("enable_block_reuse", False)
+    def make(**options) -> ProgramSynthesizer:
+        options.setdefault("enable_block_reuse", False)
         config = SynthesisConfig(
-            search_strategy="beam", beam_width=beam_width, **flags
+            search_strategy="beam", beam_width=beam_width, **options
         )
         return ProgramSynthesizer(graph, cluster, config)
 
@@ -192,21 +162,16 @@ def bench_block_reuse(args: argparse.Namespace) -> Dict[str, object]:
         reuse_synths.append(synthesizer)
         return synthesizer
 
-    naive = time_synthesis(lambda: make(**{flag: False for flag in OPT_FLAGS}), args.repeats)
     optimized = time_synthesis(make, args.repeats)
     # The replay pass is sub-second, so a single noisy repeat skews the ratio
     # far more than it skews the multi-second searches — take best of more.
     reused = time_synthesis(make_reuse, max(args.repeats, 5))
 
-    naive_result = naive.pop("result")
     optimized_result = optimized.pop("result")
     reused_result = reused.pop("result")
-    parity = (
-        naive_result.cost == optimized_result.cost == reused_result.cost
-        and list(naive_result.program.instructions)
-        == list(optimized_result.program.instructions)
-        == list(reused_result.program.instructions)
-    )
+    parity = optimized_result.cost == reused_result.cost and list(
+        optimized_result.program.instructions
+    ) == list(reused_result.program.instructions)
     stats = dict(reuse_synths[-1].reuse_stats)
     row = {
         "model": model,
@@ -216,10 +181,8 @@ def bench_block_reuse(args: argparse.Namespace) -> Dict[str, object]:
         "beam_width": beam_width,
         "layer_fraction": scale.layer_fraction,
         "repeats": args.repeats,
-        "naive": naive,
         "optimized_no_reuse": optimized,
         "optimized": reused,
-        "speedup": naive["seconds"] / reused["seconds"],
         "block_reuse_speedup": optimized["seconds"] / reused["seconds"],
         "parity": parity,
         "reuse_stats": stats,
@@ -228,10 +191,8 @@ def bench_block_reuse(args: argparse.Namespace) -> Dict[str, object]:
     print(
         f"{model:>10} m={num_devices:<3} beam+block-reuse "
         f"({stats.get('occurrences', 0)} blocks): "
-        f"naive={naive['seconds']:.3f}s optimized={optimized['seconds']:.3f}s "
-        f"reuse={reused['seconds']:.3f}s "
-        f"speedup={row['speedup']:.2f}x "
-        f"(reuse-only {row['block_reuse_speedup']:.2f}x) parity={parity}"
+        f"no-reuse={optimized['seconds']:.3f}s reuse={reused['seconds']:.3f}s "
+        f"speedup={row['block_reuse_speedup']:.2f}x parity={parity}"
     )
     return row
 
@@ -257,10 +218,10 @@ def bench_beam_parallel(args: argparse.Namespace) -> Dict[str, object]:
     cluster = heterogeneous_cluster(num_devices)
     graph = build_model(model, num_gpus=num_devices, scale=scale)
 
-    def make(**flags) -> ProgramSynthesizer:
-        flags.setdefault("enable_block_reuse", False)
+    def make(**options) -> ProgramSynthesizer:
+        options.setdefault("enable_block_reuse", False)
         config = SynthesisConfig(
-            search_strategy="beam", beam_width=beam_width, **flags
+            search_strategy="beam", beam_width=beam_width, **options
         )
         return ProgramSynthesizer(graph, cluster, config)
 
@@ -339,44 +300,30 @@ def run_benchmark(args: argparse.Namespace) -> Dict[str, object]:
                 print(
                     f"{model:>10} m={num_devices:<3} {strategy:>5}: "
                     f"nodes={row['graph_nodes']:<4} "
-                    f"naive={row['naive']['seconds']:.3f}s "
-                    f"optimized={row['optimized']['seconds']:.3f}s "
-                    f"speedup={row['speedup']:.2f}x "
-                    f"(vectorized {row['vectorized_speedup']:.2f}x) "
-                    f"peak={row['peak_rss_mb']:.0f}MB parity={row['parity']}"
+                    f"search={row['optimized']['seconds']:.3f}s "
+                    f"peak={row['peak_rss_mb']:.0f}MB"
                 )
 
-    # Headline: best configuration of the largest model (most graph nodes),
-    # across the benchmarked strategies and cluster sizes.
-    # The deep block-reuse model is a full sweep row (naive vs the optimized
-    # path *with* reuse); having the most graph nodes it becomes the headline.
+    # Headline: the deep block-reuse model, the largest graph benchmarked.
     block_reuse = bench_block_reuse(args)
     rows.append(block_reuse)
     beam_parallel = bench_beam_parallel(args)
     rows.append(beam_parallel)
-    largest_nodes = max(r["graph_nodes"] for r in rows)
-    # The beam-parallel row has no naive baseline (it A/Bs serial vs parallel
-    # on the optimized path), so it never competes for the headline.
-    headline_rows = [
-        r for r in rows if r["graph_nodes"] == largest_nodes and "speedup" in r
-    ]
-    headline = max(headline_rows, key=lambda r: r["speedup"])
     summary = {
-        "largest_model": headline["model"],
-        "largest_model_nodes": headline["graph_nodes"],
-        "headline_num_devices": headline["num_devices"],
-        "headline_strategy": headline["strategy"],
-        "headline_naive_seconds": headline["naive"]["seconds"],
-        "headline_optimized_seconds": headline["optimized"]["seconds"],
-        "headline_speedup": headline["speedup"],
-        "all_parity": all(r["parity"] for r in rows),
+        "largest_model": block_reuse["model"],
+        "largest_model_nodes": block_reuse["graph_nodes"],
+        "no_reuse_seconds": block_reuse["optimized_no_reuse"]["seconds"],
+        "block_reuse_seconds": block_reuse["optimized"]["seconds"],
         "block_reuse_speedup": block_reuse["block_reuse_speedup"],
+        "all_parity": block_reuse["parity"] and beam_parallel["parity"],
         "beam_parallel_speedup": beam_parallel["beam_parallel_speedup"],
         "synthesis_workers": beam_parallel["synthesis_workers"],
     }
     print(
-        f"\nheadline: {summary['largest_model']} (m={summary['headline_num_devices']}, "
-        f"{summary['headline_strategy']}) — {summary['headline_speedup']:.2f}x speedup, "
+        f"\nheadline: {summary['largest_model']} ({summary['largest_model_nodes']} nodes) — "
+        f"{summary['no_reuse_seconds']:.2f}s without block reuse, "
+        f"{summary['block_reuse_seconds']:.2f}s with it "
+        f"({summary['block_reuse_speedup']:.2f}x), "
         f"parity={'OK' if summary['all_parity'] else 'BROKEN'}"
     )
     return {
@@ -385,7 +332,7 @@ def run_benchmark(args: argparse.Namespace) -> Dict[str, object]:
             "layer_fraction": scale.layer_fraction,
             "python": platform.python_version(),
             "platform": platform.platform(),
-            "opt_flags": list(OPT_FLAGS),
+            "cpu_count": os.cpu_count(),
             "repeats": args.repeats,
         },
         "rows": rows,
@@ -410,12 +357,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--beam-width", type=int, default=32)
     parser.add_argument("--repeats", type=int, default=3)
     parser.add_argument(
-        "--min-speedup",
+        "--max-no-reuse-seconds",
         type=float,
         default=None,
-        help="fail (exit 2) if the optimized/naive speedup on the largest "
-        "model drops below this — the CI regression guard for the hot-path "
-        "wins (the headline row is the deep transformer with block reuse)",
+        help="fail (exit 2) if the deep registry transformer's search without "
+        "block reuse takes longer than this many seconds — the CI budget for "
+        "the per-level hot path",
     )
     parser.add_argument(
         "--min-block-reuse-speedup",
@@ -456,15 +403,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args.output.write_text(json.dumps(report, indent=2) + "\n")
     print(f"wrote {args.output}")
     if not report["summary"]["all_parity"]:
-        print("ERROR: optimised and naive paths disagree", file=sys.stderr)
+        print("ERROR: the two sides of an A/B section disagree", file=sys.stderr)
         return 1
-    if args.min_speedup is not None:
-        headline = report["summary"]["headline_speedup"]
-        if headline < args.min_speedup:
+    if args.max_no_reuse_seconds is not None:
+        seconds = report["summary"]["no_reuse_seconds"]
+        if seconds > args.max_no_reuse_seconds:
             print(
-                f"ERROR: headline speedup {headline:.2f}x on "
-                f"{report['summary']['largest_model']} is below the "
-                f"--min-speedup guard of {args.min_speedup:.2f}x",
+                f"ERROR: search without block reuse took {seconds:.2f}s on "
+                f"{report['summary']['largest_model']}, over the "
+                f"--max-no-reuse-seconds budget of {args.max_no_reuse_seconds:.2f}s",
                 file=sys.stderr,
             )
             return 2

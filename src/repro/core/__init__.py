@@ -12,7 +12,7 @@ from .hierarchical import (
 )
 from .instructions import CommInstruction, CompInstruction, Instruction, is_source_op
 from .load_balancer import LoadBalancer, LoadBalanceResult, integer_shard_sizes
-from .pareto import ParetoFront, ParetoStore, dominates
+from .pareto import ParetoFront, dominates
 from .pipeline import HAPPlan, HAPPlanner, OptimizationRound
 from .plancache import (
     CACHE_VERSION,
@@ -47,7 +47,6 @@ __all__ = [
     "LoadBalanceResult",
     "integer_shard_sizes",
     "ParetoFront",
-    "ParetoStore",
     "dominates",
     "HAPPlanner",
     "HAPPlan",

@@ -23,15 +23,19 @@ def verify_default() -> bool:
     )
 
 
+#: Accepted values of ``SynthesisConfig.search_strategy``.
+SEARCH_STRATEGIES = ("beam", "astar")
+
+
 @dataclass
 class SynthesisConfig:
     """Knobs of the program synthesizer and its background theory.
 
     The defaults correspond to the full HAP system; the ablation study
-    (Fig. 15) switches individual features off.  Every search path keeps a
-    state's live properties, emulated nodes and communicated tensors as int
-    bitmasks, so the ``enable_*`` switches below only change how candidates
-    and costs are found.
+    (Fig. 15) switches individual features off.  The search itself has one
+    implementation: int-bitmask states, precomputed candidate-rule indexes,
+    per-rule cost plans, Pareto-front dominance tables and numpy beam
+    ranking.
 
     Attributes:
         enable_sfb: include the duplicated-computation MatMul rule that makes
@@ -45,12 +49,13 @@ class SynthesisConfig:
         max_search_steps: hard cap on A* iterations (safety valve).
         beam_width: number of candidate distribution states kept per level by
             the beam search (and cap on the open list of the A* search);
-            ``None`` keeps every candidate.
+            ``None`` keeps every candidate.  Must be at least 1.
         search_strategy: ``"beam"`` (default) runs a level-synchronised beam
             search — one level per single-device node, keeping the
             ``beam_width`` cheapest distribution states per level; this is
             what makes Python-side synthesis scale to the full benchmark
             models.  ``"astar"`` runs the priority-queue search of Fig. 10.
+            Any other value is rejected.
         follow_topological_order: when True (the default) computation nodes
             are emulated following one fixed topological order of the
             single-device graph and communication rules are only applied when
@@ -64,35 +69,12 @@ class SynthesisConfig:
         use_subsumption_pruning: prune programs whose property set is a subset
             of a cheaper program's (lines 9-14 of Fig. 10) in addition to the
             exact-state dominance check.
-        enable_rule_indexing: precompute candidate-rule indexes (completion
-            bitmasks, per-node topological candidate lists, per-property
-            enabling-collective lists, consumer liveness masks) so the search
-            never scans the full rule list per expansion.  Purely an
-            implementation speed-up: the candidate sets, their order, and
-            therefore the synthesized program are identical with the flag off.
-        enable_pareto_store: store the per-state-key undominated cost vectors
-            in a sum-sorted Pareto front with early-exit dominance checks
-            instead of a flat list scanned in full.  The dominance predicate
-            (and its tolerance) is unchanged, so accept/reject decisions — and
-            the synthesized program — are identical.
-        enable_cost_memoization: memoize per-(rule, sharding-ratio-signature)
-            cost-model evaluations across expansions.  The cached values are
-            replayed in the original per-instruction order, so the accumulated
-            floating-point costs are bit-identical to the unmemoized path.
-        enable_vectorized_cost: rank beam candidates with numpy array
-            arithmetic (stacked per-state cost vectors, a stable lexsort)
-            instead of per-candidate Python ``zip`` loops.  The ranking key —
-            ``(closed + open-stage critical path, total device work)`` with
-            left-to-right float accumulation — is computed by the exact same
-            elementwise operations in the exact same order, so the surviving
-            beam (and therefore the synthesized program) is bit-identical;
-            ``tests/test_optimization_parity.py`` enforces it.
         enable_block_reuse: detect repeated subgraph blocks (transformer
             layers, their backward blocks, per-layer optimizer updates) in the
             topological emulation order and replay the beam-search decisions
             of the first occurrence across the later ones instead of
             re-expanding the full per-level candidate set.  On by default;
-            ``False`` is kept as the reference side of the parity A/Bs.
+            ``False`` is kept as the reference side of the parity tests.
             Every replayed step re-runs the exact cost model on the
             occurrence's own rules, and replay is guarded by a structural
             entry signature — any mismatch falls back to full expansion (and
@@ -143,14 +125,6 @@ class SynthesisConfig:
     follow_topological_order: bool = True
     use_subsumption_pruning: bool = False
     search_strategy: str = "beam"
-    # Hot-path optimisation switches (all result-identical; kept individually
-    # toggleable for A/B benchmarking — see benchmarks/bench_synthesis.py).
-    # They sit on top of the bitmask state representation, which every path
-    # shares.
-    enable_rule_indexing: bool = True
-    enable_pareto_store: bool = True
-    enable_cost_memoization: bool = True
-    enable_vectorized_cost: bool = True
     enable_block_reuse: bool = True
     verify_after_plan: bool = field(default_factory=verify_default)
     # Baseline-emulation switches (used by repro.baselines, not by HAP itself):
@@ -161,6 +135,13 @@ class SynthesisConfig:
     synthesis_workers: int = 1
 
     def __post_init__(self) -> None:
+        if self.search_strategy not in SEARCH_STRATEGIES:
+            raise ValueError(
+                f"search_strategy must be one of {SEARCH_STRATEGIES}, "
+                f"got {self.search_strategy!r}"
+            )
+        if self.beam_width is not None and self.beam_width < 1:
+            raise ValueError(f"beam_width must be >= 1 or None, got {self.beam_width}")
         if self.synthesis_workers < 1:
             raise ValueError(
                 f"synthesis_workers must be >= 1, got {self.synthesis_workers}"
@@ -176,21 +157,11 @@ class LoadBalancerConfig:
             sharding ratios (Sec. 5.2); 1 reproduces the base case of Sec. 5.1.
         respect_memory: add per-device memory-capacity constraints to the LP.
         solver_method: scipy ``linprog`` method.
-        enable_vectorized_cost: price ratio vectors through the batched
-            (numpy-stacked) cost-model path: the LP polish re-prices the
-            normalised solution in one :meth:`CostModel.evaluate_many` pass
-            (``LoadBalanceResult.polished_objective``) and the planner's
-            per-round (Q, B) pricing evaluates both ratio assignments of a
-            round in a single batched call.  The batched path accumulates
-            floats stage by stage in the scalar path's exact operation order,
-            so every reported cost is bit-identical with the flag off;
-            ``tests/test_optimization_parity.py`` enforces it.
     """
 
     num_segments: int = 1
     respect_memory: bool = False
     solver_method: str = "highs"
-    enable_vectorized_cost: bool = True
 
 
 @dataclass

@@ -105,13 +105,14 @@ class StageCoefficients:
 class StageCoefficientArrays:
     """A program's :class:`StageCoefficients` stacked into numpy arrays.
 
-    Prices ``K`` ratio assignments per call instead of one — the batched
-    evaluation path behind ``enable_vectorized_cost``.  Bit-identical to the
-    scalar path by construction: every per-device quantity is computed by the
-    same elementwise operations in the same order (``slope * ratio + const``,
-    then the max/min/subtract chain of :meth:`StageCoefficients.exposed_comm`),
-    and per-stage totals are accumulated stage by stage with ``+=`` — never
-    :func:`numpy.sum`, whose pairwise reduction would round differently.
+    Prices ``K`` ratio assignments per call instead of one — the planner's
+    per-round pricing path (:meth:`CostModel.evaluate_many`).  Bit-identical
+    to the scalar :meth:`CostModel.evaluate` by construction: every
+    per-device quantity is computed by the same elementwise operations in
+    the same order (``slope * ratio + const``, then the max/min/subtract
+    chain of :meth:`StageCoefficients.exposed_comm`), and per-stage totals
+    are accumulated stage by stage with ``+=`` — never :func:`numpy.sum`,
+    whose pairwise reduction would round differently.
 
     Attributes:
         num_stages: number of synchronisation stages ``S``.
@@ -152,44 +153,11 @@ class StageCoefficientArrays:
                 cover every index in :attr:`segments`).
             overlap: communication/computation overlap efficiency.
         """
-        totals = self._accumulate(seg_ratios, overlap, want_detail=True)
-        total_comm, total_comp, total_exposed, stage_times = totals
-        out: List[CostBreakdown] = []
-        for k in range(seg_ratios.shape[0]):
-            out.append(
-                CostBreakdown(
-                    total=float(total_comp[k] + total_exposed[k]),
-                    communication=float(total_comm[k]),
-                    computation=float(total_comp[k]),
-                    stage_times=[float(t[k]) for t in stage_times],
-                    exposed_communication=float(total_exposed[k]),
-                    hidden_communication=float(total_comm[k] - total_exposed[k]),
-                )
-            )
-        return out
-
-    def times(self, ratios: np.ndarray, overlap: float) -> np.ndarray:
-        """Total estimated seconds for ``K`` single-segment ratio vectors.
-
-        ``ratios`` has shape ``(K, m)``; every stage is priced with its row
-        (per-segment assignments go through :meth:`breakdowns`).  Returns a
-        ``(K,)`` array equal, element for element, to ``K`` scalar
-        :meth:`CostModel.evaluate` calls.
-        """
-        ratios = np.asarray(ratios, dtype=float)
-        total_comm, total_comp, total_exposed, _ = self._accumulate(
-            ratios[:, None, :], overlap, want_detail=False
-        )
-        return total_comp + total_exposed
-
-    def _accumulate(
-        self, seg_ratios: np.ndarray, overlap: float, want_detail: bool
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, List[np.ndarray]]:
         seg_ratios = np.asarray(seg_ratios, dtype=float)
-        k = seg_ratios.shape[0]
-        total_comm = np.zeros(k)
-        total_comp = np.zeros(k)
-        total_exposed = np.zeros(k)
+        count = seg_ratios.shape[0]
+        total_comm = np.zeros(count)
+        total_comp = np.zeros(count)
+        total_exposed = np.zeros(count)
         stage_times: List[np.ndarray] = []
         for i in range(self.num_stages):
             r = seg_ratios[:, self.segments[i], :]  # (K, m)
@@ -207,9 +175,20 @@ class StageCoefficientArrays:
             total_comm += comm
             total_comp += comp
             total_exposed += exposed
-            if want_detail:
-                stage_times.append(comp + exposed)
-        return total_comm, total_comp, total_exposed, stage_times
+            stage_times.append(comp + exposed)
+        out: List[CostBreakdown] = []
+        for k in range(count):
+            out.append(
+                CostBreakdown(
+                    total=float(total_comp[k] + total_exposed[k]),
+                    communication=float(total_comm[k]),
+                    computation=float(total_comp[k]),
+                    stage_times=[float(t[k]) for t in stage_times],
+                    exposed_communication=float(total_exposed[k]),
+                    hidden_communication=float(total_comm[k] - total_exposed[k]),
+                )
+            )
+        return out
 
 
 @dataclass
@@ -237,14 +216,13 @@ class CostBreakdown:
 class CostModel:
     """Estimates ``t(Q, B)`` for distributed programs on a cluster.
 
+    Per-(instruction, ratios) evaluations of :meth:`comp_times` and
+    :meth:`comm_time`, and per-program linearisations, are cached for the
+    life of the instance; a fresh instance re-derives everything.
+
     Args:
         graph: the single-device training graph being distributed.
         cluster: the target cluster.
-        memoize: cache per-(instruction, ratios-signature) evaluations of
-            :meth:`comp_times` and :meth:`comm_time`.  During synthesis the
-            same rule is applied to thousands of partial programs under the
-            same sharding ratios, so the hit rate is very high; the cached
-            values are exactly what the uncached path computes.
         overlap: communication/computation overlap efficiency used by
             :meth:`evaluate` and :meth:`phase_profile`; defaults to the
             cluster's ``comm_overlap_efficiency``.  Pass 0.0 for the fully
@@ -255,7 +233,6 @@ class CostModel:
         self,
         graph: ComputationGraph,
         cluster: ClusterSpec,
-        memoize: bool = True,
         overlap: Optional[float] = None,
     ) -> None:
         self.graph = graph
@@ -269,7 +246,6 @@ class CostModel:
         self.devices = cluster.virtual_devices
         self.num_devices = cluster.num_devices
         self.collectives = CollectiveCostModel(cluster)
-        self.memoize = memoize
         self._flops_cache: Dict[str, float] = {}
         self._bytes_cache: Dict[str, int] = {}
         self._device_flops = cluster.device_flops()
@@ -300,13 +276,11 @@ class CostModel:
     # -- per-instruction costs --------------------------------------------------
     def comp_times(self, instr: CompInstruction, ratios: Sequence[float]) -> Sequence[float]:
         """Per-device execution time of one computation instruction."""
-        if self.memoize:
-            key = (instr, tuple(ratios))
-            cached = self._comp_memo.get(key)
-            if cached is None:
-                cached = self._comp_memo[key] = tuple(self._comp_times(instr, ratios))
-            return cached
-        return self._comp_times(instr, ratios)
+        key = (instr, tuple(ratios))
+        cached = self._comp_memo.get(key)
+        if cached is None:
+            cached = self._comp_memo[key] = tuple(self._comp_times(instr, ratios))
+        return cached
 
     def _comp_times(self, instr: CompInstruction, ratios: Sequence[float]) -> List[float]:
         flops = self.node_flops(instr.node)
@@ -334,13 +308,11 @@ class CostModel:
 
     def comm_time(self, instr: CommInstruction, ratios: Sequence[float]) -> float:
         """Execution time of one collective instruction."""
-        if self.memoize:
-            key = (instr, tuple(ratios))
-            cached = self._comm_memo.get(key)
-            if cached is None:
-                cached = self._comm_memo[key] = self._comm_time(instr, ratios)
-            return cached
-        return self._comm_time(instr, ratios)
+        key = (instr, tuple(ratios))
+        cached = self._comm_memo.get(key)
+        if cached is None:
+            cached = self._comm_memo[key] = self._comm_time(instr, ratios)
+        return cached
 
     def _comm_time(self, instr: CommInstruction, ratios: Sequence[float]) -> float:
         nbytes = float(self.ref_bytes(instr.input.ref))
@@ -412,10 +384,6 @@ class CostModel:
         segment_of: Optional[Mapping[str, int]] = None,
     ) -> StageCoefficientArrays:
         """Stacked-array view of :meth:`stage_coefficients` (memoized alike)."""
-        if not self.memoize:
-            return StageCoefficientArrays(
-                self.stage_coefficients(program, segment_of), self.num_devices
-            )
         key = (id(program), id(segment_of))
         hit = self._array_memo.get(key)
         if hit is not None and hit[0] is program and hit[1] is segment_of:
@@ -456,20 +424,6 @@ class CostModel:
                 else:
                     tensor[k, seg] = base_row
         return arrays.breakdowns(tensor, e)
-
-    def evaluate_batch(
-        self,
-        program: DistributedProgram,
-        ratios: np.ndarray,
-        overlap: Optional[float] = None,
-    ) -> np.ndarray:
-        """Total times of ``K`` single-segment ratio vectors, shape ``(K,)``.
-
-        ``ratios`` is ``(K, num_devices)``; equivalent to ``K``
-        ``evaluate(program, ratios[k]).total`` calls, bit for bit.
-        """
-        e = self.overlap if overlap is None else overlap
-        return self.coefficient_arrays(program).times(np.asarray(ratios, dtype=float), e)
 
     def phase_profile(
         self,
@@ -610,15 +564,12 @@ class CostModel:
     ) -> List[StageCoefficients]:
         """Linear coefficients of every stage of a program.
 
-        Memoized per ``(program, segment_of)`` identity when ``memoize`` is
-        on: one planner round prices the same program through
-        :meth:`evaluate`, the LP load balancer *and* the post-balance
-        re-evaluation, and the linearisation (two collective-model calls per
-        stage plus a per-instruction sweep) is by far the most expensive part
-        of each.  The cached list is exactly what the uncached path computes.
+        Memoized per ``(program, segment_of)`` identity: one planner round
+        prices the same program through the LP load balancer *and* the
+        round's pre/post-balance pricing, and the linearisation (two
+        collective-model calls per stage plus a per-instruction sweep) is by
+        far the most expensive part of each.
         """
-        if not self.memoize:
-            return self._stage_coefficients(program, segment_of)
         key = (id(program), id(segment_of))
         hit = self._coeff_memo.get(key)
         if hit is not None and hit[0] is program and hit[1] is segment_of:
@@ -688,7 +639,6 @@ class CostModel:
 def beam_rank_order(
     vectors: Sequence[Tuple[float, ...]],
     stage_comps: Sequence[Tuple[float, ...]],
-    vectorized: bool = True,
 ) -> List[int]:
     """Deterministic ranking permutation of one beam level's merged children.
 
@@ -700,18 +650,19 @@ def beam_rank_order(
     arithmetic — and the tie-breaker is total device work,
     ``sum(stage_comps[i])`` with left-to-right float accumulation.
 
-    **Tie-break contract** (relied on by ``synthesis_workers``): both the
-    ``np.lexsort`` path and the ``sorted`` path are *stable*, so candidates
-    with equal ``(cost, work)`` keys survive in *input order*.  Serial beam
-    levels pass candidates in generation order (entering-state order, then
-    rule order, then option order); sharded expansion must therefore
-    reassemble its workers' children in that same serial generation order
-    before calling this function — any other concatenation order would
-    resolve equal-cost ties differently and silently break the bit-identical
-    guarantee of every result-identical flag downstream.  The two paths also
-    rank identically to each other: the column-wise ``+=`` matches Python's
-    left-to-right ``sum()`` and ``lexsort``'s last-key-primary ordering
-    matches the ``(cost, work)`` tuple key.
+    The work column is accumulated with a column-wise ``+=``, which matches
+    Python's left-to-right ``sum()`` bit for bit, and ``np.lexsort`` sorts
+    by its last key first, so the order equals
+    ``sorted(range(n), key=lambda i: (max(vectors[i]), sum(stage_comps[i])))``.
+
+    **Tie-break contract** (relied on by ``synthesis_workers``):
+    ``np.lexsort`` is *stable*, so candidates with equal ``(cost, work)``
+    keys survive in *input order*.  Serial beam levels pass candidates in
+    generation order (entering-state order, then rule order, then option
+    order); sharded expansion must therefore reassemble its workers'
+    children in that same serial generation order before calling this
+    function — any other concatenation order would resolve equal-cost ties
+    differently and make parallel plans differ from serial ones.
 
     Both sequences may also be float64 ``np.ndarray`` matrices (one row per
     candidate) — the form the sharded path assembles directly from worker
@@ -723,21 +674,9 @@ def beam_rank_order(
     count = len(vectors)
     if count <= 1:
         return list(range(count))
-    if vectorized:
-        arr = np.asarray(vectors)
-        final = arr.max(axis=1)
-        stage = np.asarray(stage_comps)
-        work = np.zeros(count)
-        for j in range(stage.shape[1]):
-            work += stage[:, j]
-        return [int(i) for i in np.lexsort((work, final))]
-    if isinstance(vectors, np.ndarray):
-        # The scalar path needs Python floats so its left-to-right `sum`
-        # matches the serial tuple form bit for bit.
-        vectors = vectors.tolist()
-        stage_comps = stage_comps.tolist()  # type: ignore[union-attr]
-    keys = [
-        (max(vector) if vector else 0.0, sum(stage))
-        for vector, stage in zip(vectors, stage_comps)
-    ]
-    return sorted(range(count), key=lambda i: keys[i])
+    final = np.asarray(vectors).max(axis=1)
+    stage = np.asarray(stage_comps)
+    work = np.zeros(count)
+    for j in range(stage.shape[1]):
+        work += stage[:, j]
+    return [int(i) for i in np.lexsort((work, final))]

@@ -46,18 +46,12 @@ class LoadBalanceResult:
         objective: LP objective value (estimated per-iteration seconds).
         success: whether the LP solver converged.
         num_segments: number of model segments.
-        polished_objective: the cost model's price of the *normalised* ratios
-            (the LP objective is evaluated at the raw solver point, before
-            :func:`_normalise` cleans numerical noise).  Filled by the batched
-            re-pricing pass behind ``LoadBalancerConfig.enable_vectorized_cost``;
-            ``None`` when the flag is off or the solve failed.
     """
 
     ratios: List[List[float]]
     objective: float
     success: bool
     num_segments: int
-    polished_objective: Optional[float] = None
 
     @property
     def flat_ratios(self) -> List[float]:
@@ -125,16 +119,6 @@ class LoadBalancer:
         result = self._solve_lp(coeffs, num_segments, program, cost_model.overlap)
         if result is None:
             return LoadBalanceResult(fallback, float("inf"), False, num_segments)
-        if self.config.enable_vectorized_cost:
-            # Re-price the normalised solution through the batched cost-model
-            # path: one stacked pass over every stage instead of a Python loop.
-            # Purely additive — nothing downstream keys on it yet, but it gives
-            # callers the true (post-cleanup) cost next to the LP objective.
-            per_segment = {k: r for k, r in enumerate(result.ratios)}
-            breakdown = cost_model.evaluate_many(
-                program, [(result.ratios[0], per_segment)], segment_of
-            )[0]
-            result.polished_objective = breakdown.total
         return result
 
     # -- LP assembly -------------------------------------------------------------

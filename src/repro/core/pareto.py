@@ -2,11 +2,10 @@
 
 The A* search of Fig. 10 keeps, for every distinct search-state key, the set
 of per-device accumulated cost vectors that are not dominated by any other
-known partial program with the same state.  The seed implementation stored a
-flat list per key and scanned it in full for every generated child.  This
-module provides :class:`ParetoFront`, an equivalent store that keeps the
-vectors sorted by their coordinate sum and uses two observations to cut the
-scans short:
+known partial program with the same state.  A flat list per key would be
+scanned in full for every generated child.  This module provides
+:class:`ParetoFront`, an equivalent store that keeps the vectors sorted by
+their coordinate sum and uses two observations to cut the scans short:
 
 * a vector ``e`` can only dominate ``v`` (``e_i <= v_i + eps`` for all ``i``)
   if ``sum(e) <= sum(v) + m * eps``, so the dominance scan stops at the first
@@ -15,15 +14,15 @@ scans short:
   ``sum(v) - m * eps``, so the pruning pass skips the cheap prefix entirely.
 
 The dominance predicate itself — including the tolerance — is exactly the
-predicate of the flat-list implementation, so the accept/reject decisions (and
-therefore the synthesized program) are identical; only the work per decision
-shrinks from ``O(front)`` comparisons to ``O(log front + candidates)``.
+predicate of a flat-list scan, so the accept/reject decisions (and therefore
+the synthesized program) are identical; only the work per decision shrinks
+from ``O(front)`` comparisons to ``O(log front + candidates)``.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from typing import Dict, Hashable, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 Vector = Tuple[float, ...]
 
@@ -90,27 +89,3 @@ class ParetoFront:
         insort(entries, (vsum, vector))
         return True
 
-
-class ParetoStore:
-    """Dominance table: search-state key -> :class:`ParetoFront`."""
-
-    __slots__ = ("eps", "_fronts")
-
-    def __init__(self, eps: float = 1e-12) -> None:
-        self.eps = eps
-        self._fronts: Dict[Hashable, ParetoFront] = {}
-
-    def __len__(self) -> int:
-        return len(self._fronts)
-
-    def insert(self, key: Hashable, vector: Vector) -> bool:
-        """Insert ``vector`` under ``key``; False iff it was dominated."""
-        front = self._fronts.get(key)
-        if front is None:
-            front = self._fronts[key] = ParetoFront(self.eps)
-        return front.insert(vector)
-
-    def front(self, key: Hashable) -> List[Vector]:
-        """Undominated vectors stored under ``key`` (empty if unseen)."""
-        front = self._fronts.get(key)
-        return front.vectors() if front is not None else []

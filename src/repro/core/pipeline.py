@@ -131,14 +131,6 @@ class HAPPlanner:
             }
 
     # -- helpers ---------------------------------------------------------------
-    def _evaluate(
-        self, program: DistributedProgram, ratios: List[List[float]]
-    ) -> CostBreakdown:
-        per_segment = {k: r for k, r in enumerate(ratios)}
-        return self.cost_model.evaluate(
-            program, ratios[0], ratios_per_segment=per_segment, segment_of=self.segment_of
-        )
-
     def _evaluate_pair(
         self,
         program: DistributedProgram,
@@ -147,20 +139,14 @@ class HAPPlanner:
     ) -> Tuple[CostBreakdown, CostBreakdown]:
         """Price a round's pre- and post-balance ratios for one program.
 
-        With ``enable_vectorized_cost`` both assignments go through one
-        batched :meth:`CostModel.evaluate_many` call (the program is
-        linearised once and the stage arithmetic runs on stacked arrays);
-        otherwise two scalar :meth:`_evaluate` calls.  Evaluation is pure, so
-        the two paths return bit-identical breakdowns.
+        Both assignments go through one batched
+        :meth:`CostModel.evaluate_many` call: the program is linearised once
+        and the stage arithmetic runs on stacked arrays, bit-identical to two
+        scalar :meth:`CostModel.evaluate` calls.
         """
-        if self.config.load_balancer.enable_vectorized_cost:
-            sets = [
-                (r[0], {k: seg for k, seg in enumerate(r)})
-                for r in (ratios_q, ratios_b)
-            ]
-            pair = self.cost_model.evaluate_many(program, sets, self.segment_of)
-            return pair[0], pair[1]
-        return self._evaluate(program, ratios_q), self._evaluate(program, ratios_b)
+        sets = [(r[0], dict(enumerate(r))) for r in (ratios_q, ratios_b)]
+        pair = self.cost_model.evaluate_many(program, sets, self.segment_of)
+        return pair[0], pair[1]
 
     def _initial_ratios(self) -> List[List[float]]:
         base = self.cluster.proportional_ratios()

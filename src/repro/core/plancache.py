@@ -68,8 +68,10 @@ from .properties import Property
 #: Bump when the plan layout or the key ingredients change: old entries are
 #: then unreachable (their keys embed the old version) instead of replayed.
 #: v2: ``ChunkPlan`` gained ``content_key`` and configs gained the
-#: vectorized-cost flags.
-CACHE_VERSION = 2
+#: vectorized-cost flags.  v3: the result-identical hot-path flags
+#: (rule indexing, Pareto store, cost memoization, vectorized cost) left the
+#: synthesis and load-balancer configs.
+CACHE_VERSION = 3
 
 #: Configuration fields excluded from cache keys: the cache itself, the
 #: parallel-planner worker count (result-identical by contract, so serial and

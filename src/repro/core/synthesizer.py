@@ -49,9 +49,8 @@ from .program import DistributedProgram
 from .properties import Property
 from .rules import Rule, Theory, build_theory, ordered_pre
 
-#: Markers of the per-rule cost plan replayed by ``_apply`` when cost
-#: memoization is enabled: a synchronising collective (closes the open stage)
-#: or a per-device computation-time delta.
+#: Markers of the per-rule cost plan replayed by ``_apply``: a synchronising
+#: collective (closes the open stage) or a per-device computation-time delta.
 _SYNC = 0
 _COMP = 1
 
@@ -132,8 +131,7 @@ class _SearchNode:
         self.completed_ideal = completed_ideal
         self.depth = depth
         #: index into the synthesizer's topological order of the first node
-        #: not yet emulated (maintained incrementally when rule indexing is
-        #: on; the naive path rescans from the start instead).
+        #: not yet emulated (maintained incrementally by ``_apply``).
         self.topo_ptr = topo_ptr
 
     def instructions(self) -> List[Instruction]:
@@ -270,9 +268,7 @@ class ProgramSynthesizer:
         self.cluster = cluster
         self.config = config or SynthesisConfig()
         self.theory = theory or build_theory(graph, cluster.num_devices, self.config)
-        self.cost_model = cost_model or CostModel(
-            graph, cluster, memoize=self.config.enable_cost_memoization
-        )
+        self.cost_model = cost_model or CostModel(graph, cluster)
         self._node_index = {name: i for i, name in enumerate(graph.node_names)}
         self._consumers = graph.consumers()
         self._outputs = set(graph.outputs)
@@ -291,18 +287,15 @@ class ProgramSynthesizer:
         self._topo_pos = {name: i for i, name in enumerate(self._topo_order)}
         #: completion-bitmask of each topological-order node (topo_ptr scans).
         self._topo_masks = [1 << self._node_index[name] for name in self._topo_order]
-        #: all-zero open-stage vector reused by the fast _apply path.
+        #: all-zero open-stage vector reused by _apply.
         self._zero_stage: Tuple[float, ...] = (0.0,) * cluster.num_devices
-        # -- hot-path indexes (config.enable_rule_indexing) -------------------
-        # Each index precomputes a state-independent quantity that the seed
-        # implementation recomputed per expansion; candidate order is
-        # preserved exactly, so synthesis results are identical either way.
-        self._indexing = self.config.enable_rule_indexing
+        # -- hot-path indexes --------------------------------------------------
+        # Each index precomputes a state-independent quantity once, so the
+        # search never scans the full rule list per expansion.
         #: id(rule) -> bitmask over graph nodes the rule completes.
         self._completes_mask: Dict[int, int] = {}
-        #: ref -> (consumer bitmask, participates-in-liveness flag); built
-        #: regardless of the flag, as the per-rule liveness-drop entries of the
-        #: fast and replay paths derive from it.
+        #: ref -> (consumer bitmask, participates-in-liveness flag), from
+        #: which the per-rule liveness-drop entries derive.
         self._liveness_mask: Dict[str, Tuple[int, bool]] = {}
         #: node name -> candidate rules of the topological-order search.
         self._topo_candidates: Dict[str, List[Rule]] = {}
@@ -310,15 +303,13 @@ class ProgramSynthesizer:
         self._rule_static_cache: Dict[int, Tuple[int, Tuple[float, ...], Tuple]] = {}
         #: id(rule) -> (cost plan, completes mask, ideals, liveness-drop
         #: entries, post mask, communicates mask) — the single-lookup cache of
-        #: the fast _apply path (cleared with the cost plans whenever the
-        #: ratios change).
+        #: _apply (cleared with the cost plans whenever the ratios change).
         self._rule_runtime: Dict[int, Tuple] = {}
-        if self._indexing:
-            for rule in self.theory.rules:
-                mask = 0
-                for name in rule.completes:
-                    mask |= 1 << self._node_index[name]
-                self._completes_mask[id(rule)] = mask
+        for rule in self.theory.rules:
+            mask = 0
+            for name in rule.completes:
+                mask |= 1 << self._node_index[name]
+            self._completes_mask[id(rule)] = mask
         for name in graph.node_names:
             consumers = self._consumers.get(name, [])
             mask = 0
@@ -330,10 +321,10 @@ class ProgramSynthesizer:
         #: id(rule) -> (pre mask, post mask, communicates mask).
         self._rule_bits_cache: Dict[int, Tuple[int, int, int]] = {}
         #: property bit index -> [(collective, pre mask, communicates mask)]
-        #: establishing it, in ``comm_rules_by_post`` order (rule indexing).
+        #: establishing it, in ``comm_rules_by_post`` order.
         self._enablers: Dict[int, List[Tuple[Rule, int, int]]] = {}
         # -- per-search caches -------------------------------------------------
-        #: id(rule) -> cost-replay plan for the current ratios (cost memo).
+        #: id(rule) -> cost-replay plan for the current ratios.
         self._rule_plans: Dict[int, Tuple] = {}
         self._plan_ratios: Optional[Tuple[float, ...]] = None
         # -- block reuse (config.enable_block_reuse) ---------------------------
@@ -427,11 +418,11 @@ class ProgramSynthesizer:
         return node.closed_cost + node.open_stage_cost()
 
     def _rule_plan(self, rule: Rule, ratios: Sequence[float]) -> Tuple:
-        """Cost-replay plan of a rule for fixed ratios (cost memoization).
+        """Cost-replay plan of a rule for fixed ratios.
 
-        The plan replays the cost-model evaluations of ``_apply`` in the
-        original per-instruction order, so accumulating it produces the exact
-        floating-point values of the unmemoized path.
+        One step per costed instruction, in instruction order: ``_apply``
+        accumulates the steps exactly as pricing each instruction in turn
+        would, without calling the cost model per expansion.
         """
         plan = self._rule_plans.get(id(rule))
         if plan is None:
@@ -450,11 +441,11 @@ class ProgramSynthesizer:
         """State-independent per-rule quantities.
 
         Returns the bitmask of nodes the rule completes, their ideal-time
-        contributions (in the same iteration order as the naive per-name
-        accumulation, so the floating-point heuristic is bit-identical), and
-        the liveness-drop entries: ``(consumer mask, property mask)`` per
-        reference tensor that may die when the rule fires — the reference's
-        properties are dropped once every consumer in the mask is emulated.
+        contributions (in ``rule.completes`` order, the order ``_apply`` adds
+        them in), and the liveness-drop entries: ``(consumer mask, property
+        mask)`` per reference tensor that may die when the rule fires — the
+        reference's properties are dropped once every consumer in the mask is
+        emulated (the search's optimisation #3).
         """
         info = self._rule_static_cache.get(id(rule))
         if info is None:
@@ -476,79 +467,10 @@ class ProgramSynthesizer:
             self._rule_static_cache[id(rule)] = info
         return info
 
-    def _apply(self, node: _SearchNode, rule: Rule, ratios: Sequence[float]) -> _SearchNode:
-        """Append a rule to a partial program, updating state and cost.
-
-        The indexed/memoized fast path and the naive path below compute the
-        same quantities (bit-identical floats, equal state masks); the fast
-        path merely replaces per-expansion recomputation with precomputed
-        lookups and keeps the open-stage vector as a tuple.
-        """
-        if self._indexing and self.config.enable_cost_memoization:
-            return self._apply_fast(node, rule, ratios)
-        closed = node.closed_cost
-        stage = list(node.stage_comp)
-        if self.config.enable_cost_memoization:
-            for kind, payload in self._rule_plan(rule, ratios):
-                if kind == _SYNC:
-                    closed += (max(stage) if stage else 0.0) + payload
-                    stage = [0.0] * len(stage)
-                else:
-                    for j, t in enumerate(payload):
-                        stage[j] += t
-        else:
-            for instr in rule.instructions:
-                if isinstance(instr, CommInstruction):
-                    if not instr.synchronises:
-                        continue  # local slice: no synchronisation, negligible cost
-                    closed += (max(stage) if stage else 0.0) + self.cost_model.comm_time(instr, ratios)
-                    stage = [0.0] * len(stage)
-                else:
-                    times = self.cost_model.comp_times(instr, ratios)
-                    for j, t in enumerate(times):
-                        stage[j] += t
-        completed = node.completed
-        completed_ideal = node.completed_ideal
-        for name in rule.completes:
-            completed |= 1 << self._node_index[name]
-            completed_ideal += self._ideal(name)
-        _, post, comm = self._rule_bits(rule)
-        properties = node.properties | post
-        communicated = node.communicated | comm
-        # Optimisation #3: drop properties of tensors that can no longer be
-        # consumed (every consumer already emulated).  Program outputs with no
-        # consumers (updated parameters, the loss) are dropped from the search
-        # state as well — their completion is tracked by the bitmask, and
-        # removing them lets the dominance check merge programs that made
-        # different (already-paid-for) choices for earlier parts of the model.
-        dead_candidates: Set[str] = set()
-        for name in rule.completes:
-            dead_candidates.update(self.graph[name].inputs)
-            dead_candidates.add(name)
-        for ref in dead_candidates:
-            consumers = self._consumers.get(ref, [])
-            done = all(completed & (1 << self._node_index[c]) for c in consumers)
-            if done and (consumers or ref in self._outputs):
-                properties &= ~self._ref_props.get(ref, 0)
-        return _SearchNode(
-            parent=node,
-            rule=rule,
-            properties=properties,
-            completed=completed,
-            communicated=communicated,
-            closed_cost=closed,
-            stage_comp=tuple(stage),
-            completed_ideal=completed_ideal,
-            depth=node.depth + 1,
-            topo_ptr=self._advance_topo_ptr(node.topo_ptr, completed),
-        )
-
     def _rule_runtime_of(self, rule: Rule, ratios: Sequence[float]) -> Tuple:
         """(cost plan, completes mask, ideals, liveness drops, post, comm).
 
-        The single-lookup cache of :meth:`_apply_fast`, shared with block
-        replay; safe to populate even when cost memoization is off, because
-        the memoized plans replay the identical float operations.
+        The single-lookup cache of :meth:`_apply`, shared with block replay.
         """
         runtime = self._rule_runtime.get(id(rule))
         if runtime is None:
@@ -559,8 +481,17 @@ class ProgramSynthesizer:
             )
         return runtime
 
-    def _apply_fast(self, node: _SearchNode, rule: Rule, ratios: Sequence[float]) -> _SearchNode:
-        """Indexed + memoized variant of :meth:`_apply` (same results)."""
+    def _apply(self, node: _SearchNode, rule: Rule, ratios: Sequence[float]) -> _SearchNode:
+        """Append a rule to a partial program, updating state and cost.
+
+        Liveness (optimisation #3): properties of tensors that can no longer
+        be consumed (every consumer already emulated) are dropped.  Program
+        outputs with no consumers (updated parameters, the loss) are dropped
+        from the search state as well — their completion is tracked by the
+        bitmask, and removing them lets the dominance check merge programs
+        that made different (already-paid-for) choices for earlier parts of
+        the model.
+        """
         runtime = self._rule_runtime.get(id(rule))
         if runtime is None:
             runtime = self._rule_runtime_of(rule, ratios)
@@ -621,14 +552,11 @@ class ProgramSynthesizer:
         props = node.properties
         completed = node.completed
         communicated = node.communicated
-        masks = self._completes_mask if self._indexing else None
+        masks = self._completes_mask
         for rule in candidates:
             pre, post, comm = self._rule_bits(rule)
             if rule.completes:
-                if masks is not None:
-                    if completed & masks[id(rule)]:
-                        continue
-                elif any(completed & (1 << self._node_index[n]) for n in rule.completes):
+                if completed & masks[id(rule)]:
                     continue
             elif (props & post) == post:
                 continue  # pure communication rule: must add a new property
@@ -662,20 +590,9 @@ class ProgramSynthesizer:
 
     def _next_node(self, node: _SearchNode) -> Optional[str]:
         """First non-source node in topological order not yet emulated."""
-        if self._indexing:
-            # topo_ptr is maintained incrementally by _apply.
-            if node.topo_ptr < len(self._topo_order):
-                return self._topo_order[node.topo_ptr]
-            return None
-        for name in self._topo_order[self._first_pending(node):]:
-            if not node.completed & (1 << self._node_index[name]):
-                return name
+        if node.topo_ptr < len(self._topo_order):
+            return self._topo_order[node.topo_ptr]
         return None
-
-    def _first_pending(self, node: _SearchNode) -> int:
-        # depth is a lower bound on progress; scanning from 0 is still correct
-        # but slower, so start a little earlier than the depth suggests.
-        return 0
 
     def _topological_candidates(self, node: _SearchNode) -> List[Rule]:
         """Rules for the next node in topological order plus enabling comms.
@@ -684,18 +601,16 @@ class ProgramSynthesizer:
         pending node.  The communication candidates are restricted to
         collectives whose output property appears in the precondition of one
         of those variants — i.e. collectives that can enable the next node.
-        The candidate list depends only on the next pending node, so with rule
-        indexing enabled it is computed once per node and reused.
+        The candidate list depends only on the next pending node, so it is
+        computed once per node and reused.
         """
         next_node = self._next_node(node)
         if next_node is None:
             return []
-        if self._indexing:
-            cached = self._topo_candidates.get(next_node)
-            if cached is None:
-                cached = self._topo_candidates[next_node] = self._candidates_for(next_node)
-            return cached
-        return self._candidates_for(next_node)
+        cached = self._topo_candidates.get(next_node)
+        if cached is None:
+            cached = self._topo_candidates[next_node] = self._candidates_for(next_node)
+        return cached
 
     def _candidates_for(self, next_node: str) -> List[Rule]:
         comp_rules = self.theory.comp_rules_by_node.get(next_node, [])
@@ -792,7 +707,8 @@ class ProgramSynthesizer:
         are identical or dominated device-wise).
         """
         start = _time.perf_counter()
-        beam_width = self.config.beam_width or 64
+        # None keeps every candidate: order[:None] is the whole ranking.
+        beam_width = self.config.beam_width
         states: List[_SearchNode] = [self._root()]
         self._bm_expanded = 0
         self._bm_generated = 1
@@ -887,7 +803,6 @@ class ProgramSynthesizer:
         order = beam_rank_order(
             [e[1] for e in entries],
             [e[0].stage_comp for e in entries],
-            vectorized=self.config.enable_vectorized_cost,
         )
         survivors = [entries[i][0] for i in order[:beam_width]]
         if record_into is not None:
@@ -1112,11 +1027,7 @@ class ProgramSynthesizer:
                     continue
                 children[key] = i
             rows = list(children.values())
-            order = beam_rank_order(
-                vectors[rows],
-                stage[rows],
-                vectorized=self.config.enable_vectorized_cost,
-            )
+            order = beam_rank_order(vectors[rows], stage[rows])
             next_carriers: List[Tuple[Tuple, int, Optional[Tuple]]] = []
             for oi in order[:beam_width]:
                 row = rows[oi]
@@ -1652,56 +1563,36 @@ class ProgramSynthesizer:
         self, state: _SearchNode, rule: Rule, ratios: Sequence[float]
     ) -> List[_SearchNode]:
         """Apply a computation rule, inserting enabling collectives if needed."""
-        if self._indexing:
-            if state.completed & self._completes_mask[id(rule)]:
-                return []
-        elif any(n for n in rule.completes if state.completed & (1 << self._node_index[n])):
+        if state.completed & self._completes_mask[id(rule)]:
             return []
         props, communicated = state.properties, state.communicated
         pre = self._rule_bits(rule)[0]
         if (props & pre) == pre:
             return [self._apply(state, rule, ratios)]
         # Find, for every missing precondition (in ordered_pre order), the
-        # collectives that produce it.  With rule indexing the
-        # state-independent "which collectives establish this property" part
-        # comes from the ``comm_rules_by_post`` index (same rules, same order
-        # as filtering the per-ref table); only the per-state filters remain.
+        # collectives that produce it.  The state-independent "which
+        # collectives establish this property" part comes from the
+        # ``comm_rules_by_post`` index; only the per-state filters remain.
         option_sets: List[List[Rule]] = []
         for prop, index in self._ordered_pre(rule):
             if props >> index & 1:
                 continue
-            if self._indexing:
-                enablers = self._enablers.get(index)
-                if enablers is None:
-                    enablers = self._enablers[index] = [
-                        (comm, *self._rule_bits(comm)[::2])
-                        for comm in self.theory.comm_rules_by_post.get(prop, ())
-                    ]
-                options = [
-                    comm
-                    for comm, comm_pre, comm_refs in enablers
-                    if (props & comm_pre) == comm_pre and not comm_refs & communicated
+            enablers = self._enablers.get(index)
+            if enablers is None:
+                enablers = self._enablers[index] = [
+                    (comm, *self._rule_bits(comm)[::2])
+                    for comm in self.theory.comm_rules_by_post.get(prop, ())
                 ]
-            else:
-                options = []
-                for comm in self.theory.comm_rules_by_ref.get(prop.ref, []):
-                    if prop not in comm.post:
-                        continue
-                    comm_pre, _, comm_refs = self._rule_bits(comm)
-                    if (props & comm_pre) == comm_pre and not comm_refs & communicated:
-                        options.append(comm)
+            options = [
+                comm
+                for comm, comm_pre, comm_refs in enablers
+                if (props & comm_pre) == comm_pre and not comm_refs & communicated
+            ]
             if not options:
                 return []
             option_sets.append(options)
         results: List[_SearchNode] = []
-        if self._indexing and len(option_sets) > 1:
-            self._expand_prefixes(state, rule, ratios, option_sets, 0, results)
-            return results
-        for combo in itertools.product(*option_sets):
-            current = state
-            for comm in combo:
-                current = self._apply(current, comm, ratios)
-            results.append(self._apply(current, rule, ratios))
+        self._expand_prefixes(state, rule, ratios, option_sets, 0, results)
         return results
 
     def _expand_prefixes(
@@ -1722,14 +1613,17 @@ class ProgramSynthesizer:
         method, not a nested closure, because a recursive closure refers to
         itself through its own cell: that cycle would keep the synthesizer,
         its theory and every search node alive until the cyclic collector
-        ran, and planning runs with that collector paused.
+        ran, and planning runs with that collector paused.  ``option_sets``
+        is never empty: its last level applies ``rule`` itself.
         """
-        if level == len(option_sets):
-            results.append(self._apply(current, rule, ratios))
+        apply = self._apply
+        if level + 1 == len(option_sets):
+            for comm in option_sets[level]:
+                results.append(apply(apply(current, comm, ratios), rule, ratios))
             return
         for comm in option_sets[level]:
             self._expand_prefixes(
-                self._apply(current, comm, ratios), rule, ratios, option_sets, level + 1, results
+                apply(current, comm, ratios), rule, ratios, option_sets, level + 1, results
             )
 
     def _ordered_pre(self, rule: Rule) -> Tuple[Tuple[Property, int], ...]:
@@ -1784,13 +1678,9 @@ class ProgramSynthesizer:
         heap: List[Tuple[float, int, int, _SearchNode]] = [
             (self._score(root), 0, next(counter), root)
         ]
-        # Dominance table: state key -> undominated per-device cost vectors.
-        # With ``enable_pareto_store`` the per-key vectors live in a
-        # sum-sorted Pareto front (same dominance predicate, early-exit
-        # scans); otherwise in the seed's flat list scanned in full.
-        use_pareto = self.config.enable_pareto_store
+        # Dominance table: state key -> sum-sorted Pareto front of the
+        # undominated per-device cost vectors (early-exit dominance scans).
         fronts: Dict[Tuple, ParetoFront] = {}
-        best_vectors: Dict[Tuple, List[Tuple[float, ...]]] = {}
         best_complete: Optional[_SearchNode] = None
         best_cost = float("inf")
         #: Most-progressed state popped so far — the completion-fallback seed.
@@ -1830,25 +1720,11 @@ class ProgramSynthesizer:
                     continue
                 key = (child.properties, child.completed, child.communicated)
                 vector = tuple([closed + c for c in stage_comp])
-                if use_pareto:
-                    front = fronts.get(key)
-                    if front is None:
-                        front = fronts[key] = ParetoFront(eps=1e-12)
-                    if not front.insert(vector):
-                        continue  # dominated by an already-known program
-                else:
-                    existing = best_vectors.get(key)
-                    if existing is not None and any(
-                        all(e <= v + 1e-12 for e, v in zip(vec, vector)) for vec in existing
-                    ):
-                        continue  # dominated by an already-known program
-                    if existing is None:
-                        best_vectors[key] = [vector]
-                    else:
-                        existing[:] = [
-                            vec for vec in existing if not all(v <= e + 1e-12 for v, e in zip(vector, vec))
-                        ]
-                        existing.append(vector)
+                front = fronts.get(key)
+                if front is None:
+                    front = fronts[key] = ParetoFront(eps=1e-12)
+                if not front.insert(vector):
+                    continue  # dominated by an already-known program
                 remaining = total_ideal - child.completed_ideal
                 if remaining < 0.0:
                     remaining = 0.0

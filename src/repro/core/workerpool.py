@@ -54,6 +54,7 @@ import atexit
 import gc
 import multiprocessing
 import os
+import threading
 import traceback
 from contextlib import contextmanager
 from multiprocessing.connection import Connection, wait as _wait_ready
@@ -166,24 +167,41 @@ def fork_available() -> bool:
 # ---------------------------------------------------------------------------
 
 
+#: Process-wide pause bookkeeping: how many pauses are open, and whether the
+#: collector was enabled when the first of them began.  The lock makes "read
+#: the state, then disable" one step; without it a thread could read the
+#: collector as disabled (another thread's pause), disable it again after that
+#: pause re-enabled it, and leave it off for good.
+_pause_lock = threading.Lock()
+_pause_depth = 0
+_pause_resumes = False
+
+
 @contextmanager
 def collector_paused() -> Iterator[None]:
     """Run the body with CPython's cyclic garbage collector disabled.
 
     Planning allocates millions of small acyclic objects (rules, properties,
     search nodes), which refcounting frees; the cyclic collector would only
-    re-scan them on every allocation threshold.  The collector is re-enabled
-    on exit only if it was enabled on entry, so nested pauses, exceptions and
-    overlapping calls from several threads all leave it as the outermost
-    caller found it.
+    re-scan them on every allocation threshold.  Pauses are counted across
+    the process: the first one records whether the collector was enabled and
+    disables it, and the last one to end re-enables it if it was.  Nested
+    pauses, exceptions and overlapping calls from several threads therefore
+    all leave the collector as the outermost caller found it.
     """
-    was_enabled = gc.isenabled()
-    gc.disable()
+    global _pause_depth, _pause_resumes
+    with _pause_lock:
+        if _pause_depth == 0:
+            _pause_resumes = gc.isenabled()
+            gc.disable()
+        _pause_depth += 1
     try:
         yield
     finally:
-        if was_enabled:
-            gc.enable()
+        with _pause_lock:
+            _pause_depth -= 1
+            if _pause_depth == 0 and _pause_resumes:
+                gc.enable()
 
 
 # ---------------------------------------------------------------------------
@@ -193,9 +211,14 @@ def collector_paused() -> Iterator[None]:
 
 def _worker_main(conn: Connection) -> None:
     """Serve ``(handler, payload_key, args)`` requests until told to exit."""
+    global _pause_lock, _pause_depth
     # A worker forked inside a paused planning call inherits a disabled
-    # collector; start every worker enabled so the per-task pause below alone
-    # decides when it runs.
+    # collector and the parent's open pause count (and, if another parent
+    # thread held it at fork time, a locked pause lock), none of which it
+    # will ever unwind: start every worker afresh and enabled, so the
+    # per-task pause below alone decides when the collector runs.
+    _pause_lock = threading.Lock()
+    _pause_depth = 0
     gc.enable()
     while True:
         try:

@@ -166,6 +166,46 @@ class TestCollectorState:
         assert not any(thread.is_alive() for thread in threads)
         assert gc.isenabled() is entry_state
 
+    def test_pause_overlapping_an_ending_pause_restores(self, entry_state, monkeypatch):
+        """Force the losing interleaving of two threads: X starts a pause
+        while Y's pause is open, and Y's pause ends before X's begins to
+        take effect.  X must not leave the collector disabled for good."""
+        y_inside, x_entering, y_done = (threading.Event() for _ in range(3))
+
+        class StallingGc:
+            """gc whose disable() by thread X waits until Y's pause ended."""
+
+            isenabled = staticmethod(gc.isenabled)
+            enable = staticmethod(gc.enable)
+
+            @staticmethod
+            def disable():
+                if threading.current_thread().name == "X":
+                    x_entering.set()
+                    y_done.wait(timeout=1)
+                gc.disable()
+
+        monkeypatch.setattr(workerpool, "gc", StallingGc)
+
+        def y():
+            with collector_paused():
+                y_inside.set()
+                x_entering.wait(timeout=1)
+            y_done.set()
+
+        def x():
+            y_inside.wait(timeout=1)
+            with collector_paused():
+                x_entering.set()
+
+        threads = [threading.Thread(target=y, name="Y"), threading.Thread(target=x, name="X")]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+        assert not any(thread.is_alive() for thread in threads)
+        assert gc.isenabled() is entry_state
+
     @pytest.mark.skipif(not workerpool.fork_available(), reason="needs fork")
     def test_pool_workers_run_tasks_paused(self, entry_state):
         with workerpool.WorkerPool(1) as pool:
@@ -199,24 +239,31 @@ def _rule_chain(child, state):
     return chain[::-1]
 
 
-def test_collective_prefix_walk_keeps_product_order(four_device_cluster):
-    """Children of a rule missing >= 2 preconditions come in product() order."""
+@pytest.mark.parametrize("sets", ["one", "several"])
+def test_collective_prefix_walk_keeps_product_order(sets, four_device_cluster):
+    """Children of a rule missing preconditions come in product() order,
+    whether one or several preconditions need an enabling collective."""
     graph = build_training_graph(build_tiny_model("bert_moe")).graph
     synth = ProgramSynthesizer(graph, four_device_cluster, SynthesisConfig(beam_width=8))
     cases = []
     walk = synth._expand_prefixes
 
     def recording(current, rule, ratios, option_sets, level, results):
-        if level == 0 and not cases and max(len(options) for options in option_sets) > 1:
+        wanted = (len(option_sets) == 1) == (sets == "one")
+        if (
+            level == 0
+            and not cases
+            and wanted
+            and max(len(options) for options in option_sets) > 1
+        ):
             cases.append((current, rule, ratios, [list(options) for options in option_sets]))
         walk(current, rule, ratios, option_sets, level, results)
 
     synth._expand_prefixes = recording
     synth.synthesize()
     del synth._expand_prefixes
-    assert cases, "no expansion enabled two or more missing preconditions"
+    assert cases, f"no multi-option expansion with {sets} missing precondition(s)"
     state, rule, ratios, option_sets = cases[0]
-    assert len(option_sets) >= 2
 
     children = synth._expand_with_rule(state, rule, ratios)
     combos = list(itertools.product(*option_sets))

@@ -1,19 +1,22 @@
-"""Parity of the synthesizer's hot-path optimisations.
+"""Parity of the planner's result-identical reuse mechanisms.
 
-Every optimisation behind a ``SynthesisConfig`` flag (rule indexing, the
-Pareto dominance store, cost-model memoization, vectorized cost evaluation)
-is required to be *result-identical*: toggling it must not
-change the synthesized instruction sequence nor the estimated cost by a
-single bit.  These tests run the synthesizer with each optimisation disabled
-individually and all disabled at once, and compare against the fully
-optimised default.  Block reuse is on by default, so every reference side
-pins ``enable_block_reuse=False``: the hot-path flags are compared on the
-plain search, and reuse against a search that expands every block.
+Each mechanism must leave the synthesized instruction sequence and the
+estimated cost unchanged to the last bit:
+
+* block reuse (``enable_block_reuse``, on by default) against a search that
+  expands every block;
+* sub-plan dedupe (``dedupe_subplans``) against planning every chunk;
+* batched plan pricing (``CostModel.evaluate_many``) against scalar
+  ``evaluate`` calls;
+* per-rule cost plans cached across ``synthesize()`` calls against a fresh
+  synthesizer per ratio vector.
+
+The hot path itself has one implementation, pinned by the golden plan
+digests of ``tests/test_plan_goldens.py``.
 """
 
 import dataclasses
 
-import numpy as np
 import pytest
 
 from repro.autodiff import build_training_graph
@@ -33,13 +36,6 @@ from repro.graph import DType, GraphBuilder
 
 from .conftest import build_mlp, build_tiny_moe, build_tiny_transformer, make_cluster
 
-OPT_FLAGS = (
-    "enable_rule_indexing",
-    "enable_pareto_store",
-    "enable_cost_memoization",
-    "enable_vectorized_cost",
-)
-
 #: 8 GPUs of four kinds, the mixed cluster of the production-settings rows.
 MIXED_8 = ("A100", "V100", "A100", "V100", "A10", "P100", "A10", "P100")
 
@@ -50,9 +46,9 @@ MODEL_BUILDERS = {
 }
 
 
-def _synthesize(graph, cluster, strategy, **flags):
-    flags.setdefault("enable_block_reuse", False)
-    config = SynthesisConfig(search_strategy=strategy, beam_width=8, **flags)
+def _synthesize(graph, cluster, strategy, **options):
+    options.setdefault("enable_block_reuse", False)
+    config = SynthesisConfig(search_strategy=strategy, beam_width=8, **options)
     return ProgramSynthesizer(graph, cluster, config).synthesize()
 
 
@@ -74,82 +70,6 @@ def training_graphs():
         name: build_training_graph(builder()).graph
         for name, builder in MODEL_BUILDERS.items()
     }
-
-
-class TestBeamParity:
-    @pytest.mark.parametrize("model", sorted(MODEL_BUILDERS))
-    def test_all_optimisations_off(self, model, training_graphs, parity_cluster):
-        graph = training_graphs[model]
-        optimised = _synthesize(graph, parity_cluster, "beam")
-        naive = _synthesize(
-            graph, parity_cluster, "beam", **{flag: False for flag in OPT_FLAGS}
-        )
-        _assert_identical(optimised, naive, f"{model}/beam/all-off")
-        # The optimisations must not change what the search explores either.
-        assert naive.expanded_states == optimised.expanded_states
-        assert naive.generated_states == optimised.generated_states
-
-    @pytest.mark.parametrize("model", sorted(MODEL_BUILDERS))
-    @pytest.mark.parametrize("flag", OPT_FLAGS)
-    def test_each_optimisation_individually(
-        self, model, flag, training_graphs, parity_cluster
-    ):
-        graph = training_graphs[model]
-        optimised = _synthesize(graph, parity_cluster, "beam")
-        toggled = _synthesize(graph, parity_cluster, "beam", **{flag: False})
-        _assert_identical(optimised, toggled, f"{model}/beam/{flag}=False")
-
-
-class TestAStarParity:
-    """A* exercises the Pareto dominance store, which beam search does not."""
-
-    @pytest.mark.parametrize("model", ["mlp", "tiny_transformer"])
-    def test_all_optimisations_off(self, model, training_graphs, parity_cluster):
-        graph = training_graphs[model]
-        optimised = _synthesize(graph, parity_cluster, "astar")
-        naive = _synthesize(
-            graph, parity_cluster, "astar", **{flag: False for flag in OPT_FLAGS}
-        )
-        _assert_identical(optimised, naive, f"{model}/astar/all-off")
-        assert naive.expanded_states == optimised.expanded_states
-        assert naive.generated_states == optimised.generated_states
-
-    @pytest.mark.parametrize("flag", OPT_FLAGS)
-    def test_each_optimisation_individually(self, flag, training_graphs, parity_cluster):
-        graph = training_graphs["mlp"]
-        optimised = _synthesize(graph, parity_cluster, "astar")
-        toggled = _synthesize(graph, parity_cluster, "astar", **{flag: False})
-        _assert_identical(optimised, toggled, f"mlp/astar/{flag}=False")
-
-    def test_unrestricted_search_parity(self, parity_cluster):
-        """Fig. 10's unrestricted search (no topological order) agrees too.
-
-        The unrestricted search is only tractable for very small graphs with
-        an untrimmed open list (matching the seed's own A* test), so parity is
-        checked on a single-matmul classifier.
-        """
-        from repro.graph import DType, GraphBuilder
-
-        b = GraphBuilder("tiny")
-        x = b.placeholder((16, 8), name="x")
-        w = b.parameter((8, 4), name="w")
-        y = b.matmul(x, w)
-        labels = b.placeholder((16,), dtype=DType.INT64, name="labels")
-        b.loss(b.cross_entropy(y, labels))
-        graph = build_training_graph(b.build()).graph
-
-        def run(**flags):
-            config = SynthesisConfig(
-                search_strategy="astar",
-                beam_width=None,
-                follow_topological_order=False,
-                **flags,
-            )
-            return ProgramSynthesizer(graph, parity_cluster, config).synthesize()
-
-        optimised = run()
-        naive = run(**{flag: False for flag in OPT_FLAGS})
-        _assert_identical(optimised, naive, "tiny/astar-unrestricted/all-off")
 
 
 def build_deep_transformer(layers, batch=8, seq=4, hidden=16, heads=2):
@@ -207,19 +127,6 @@ class TestBlockReuseParity:
         synthesizer = ProgramSynthesizer(graph, parity_cluster, config)
         _assert_identical(reference, synthesizer.synthesize(), f"{model}/beam/block-reuse")
         assert synthesizer.reuse_stats["replayed"] > 0
-
-    def test_block_reuse_composes_with_other_flags_off(
-        self, deep_training, parity_cluster
-    ):
-        reference = _synthesize(deep_training, parity_cluster, "beam")
-        reused = _synthesize(
-            deep_training,
-            parity_cluster,
-            "beam",
-            enable_block_reuse=True,
-            **{flag: False for flag in OPT_FLAGS},
-        )
-        _assert_identical(reference, reused, "deep/beam/block-reuse+all-off")
 
     def test_block_reuse_across_ratio_changes(self, deep_training, parity_cluster):
         """Replayed rule costs are recomputed when the shard ratios change."""
@@ -335,9 +242,9 @@ class TestSubplanDedupeParity:
             assert a.plan.estimated_time.total == b.plan.estimated_time.total
 
 
-class TestVectorizedCostParity:
-    """``evaluate_many``/``evaluate_batch`` stack the per-stage coefficients
-    into arrays but must agree with K scalar ``evaluate`` calls bit for bit."""
+class TestBatchedCostParity:
+    """``evaluate_many`` stacks the per-stage coefficients into arrays but
+    must agree with K scalar ``evaluate`` calls bit for bit."""
 
     RATIO_SETS = [
         ([0.25, 0.25, 0.25, 0.25], None),
@@ -362,74 +269,66 @@ class TestVectorizedCostParity:
             assert b.hidden_communication == scalar.hidden_communication
             assert list(b.stage_times) == list(scalar.stage_times)
 
-    def test_evaluate_batch_matches_scalar(self, training_graphs, parity_cluster):
-        graph = training_graphs["mlp"]
-        program = _synthesize(graph, parity_cluster, "beam").program
-        cost_model = CostModel(graph, parity_cluster)
-        ratios = np.array([base for base, _ in self.RATIO_SETS])
-        totals = cost_model.evaluate_batch(program, ratios)
-        for k, (base, _) in enumerate(self.RATIO_SETS):
-            assert totals[k] == cost_model.evaluate(program, base).total
-
-    def test_evaluate_batch_honours_overlap_override(
-        self, training_graphs, parity_cluster
+    @pytest.mark.parametrize("overlap", [0.0, 0.5, 1.0])
+    def test_evaluate_many_honours_overlap_override(
+        self, overlap, training_graphs, parity_cluster
     ):
         graph = training_graphs["mlp"]
         program = _synthesize(graph, parity_cluster, "beam").program
         cost_model = CostModel(graph, parity_cluster)
-        ratios = np.array([[0.25, 0.25, 0.25, 0.25]])
-        serialized = cost_model.evaluate_batch(program, ratios, overlap=0.0)
-        assert serialized[0] == cost_model.evaluate(program, ratios[0], overlap=0.0).total
+        batched = cost_model.evaluate_many(program, self.RATIO_SETS, overlap=overlap)
+        for (base, per_segment), b in zip(self.RATIO_SETS, batched):
+            scalar = cost_model.evaluate(
+                program, base, ratios_per_segment=per_segment, overlap=overlap
+            )
+            assert b.total == scalar.total
+            assert b.exposed_communication == scalar.exposed_communication
+            assert list(b.stage_times) == list(scalar.stage_times)
 
-    def test_memoization_off_matches(self, training_graphs, parity_cluster):
+    @pytest.mark.parametrize("segments", [1, 2])
+    def test_planner_pricing_matches_scalar_evaluate(self, segments, parity_cluster):
+        """End to end: the batched pair pricing of ``HAPPlanner.plan`` reports
+        the same estimate as one scalar ``evaluate`` of the chosen (Q, B)."""
+        graph = build_training_graph(build_mlp()).graph
+        config = PlannerConfig(
+            max_rounds=2,
+            synthesis=SynthesisConfig(search_strategy="beam", beam_width=8),
+            load_balancer=LoadBalancerConfig(num_segments=segments),
+        )
+        plan = HAPPlanner(graph, parity_cluster, config).plan()
+        assert (plan.segment_of is None) == (segments == 1)
+        scalar = CostModel(graph, parity_cluster).evaluate(
+            plan.program,
+            plan.ratios[0],
+            ratios_per_segment=dict(enumerate(plan.ratios)),
+            segment_of=plan.segment_of,
+        )
+        assert plan.estimated_time.total == scalar.total
+        assert list(plan.estimated_time.stage_times) == list(scalar.stage_times)
+        assert plan.estimated_time.total in [r.cost_after_balancing for r in plan.rounds]
+
+    def test_coefficient_arrays_are_memoized(self, training_graphs, parity_cluster):
         graph = training_graphs["mlp"]
         program = _synthesize(graph, parity_cluster, "beam").program
-        memoized = CostModel(graph, parity_cluster)
-        plain = CostModel(graph, parity_cluster, memoize=False)
-        a = memoized.evaluate_many(program, self.RATIO_SETS)
-        b = plain.evaluate_many(program, self.RATIO_SETS)
-        assert [x.total for x in a] == [y.total for y in b]
-        # The memoized arrays are reused across calls, not rebuilt.
-        assert memoized.coefficient_arrays(program) is memoized.coefficient_arrays(program)
-
-    def test_full_planner_parity_with_flag_off(self, parity_cluster):
-        """End-to-end composition: synthesis ranking + LP polish pricing both
-        vectorized vs. both scalar must produce the same plan and history."""
-        graph = build_training_graph(build_mlp()).graph
-
-        def plan(flag):
-            config = PlannerConfig(
-                max_rounds=2,
-                synthesis=SynthesisConfig(
-                    search_strategy="beam", beam_width=8, enable_vectorized_cost=flag
-                ),
-                load_balancer=LoadBalancerConfig(enable_vectorized_cost=flag),
-            )
-            return HAPPlanner(graph, parity_cluster, config).plan()
-
-        vectorized = plan(True)
-        scalar = plan(False)
-        assert vectorized.estimated_time.total == scalar.estimated_time.total
-        assert vectorized.ratios == scalar.ratios
-        assert list(vectorized.program.instructions) == list(scalar.program.instructions)
-        for rv, rs in zip(vectorized.rounds, scalar.rounds):
-            assert rv.cost_after_synthesis == rs.cost_after_synthesis
-            assert rv.cost_after_balancing == rs.cost_after_balancing
+        cost_model = CostModel(graph, parity_cluster)
+        # The arrays are reused across calls, not rebuilt.
+        assert cost_model.coefficient_arrays(program) is cost_model.coefficient_arrays(program)
 
 
 class TestParityAcrossRatios:
-    def test_skewed_ratios(self, training_graphs, parity_cluster):
-        """Memoized cost plans are invalidated when the ratios change."""
-        graph = training_graphs["mlp"]
+    @pytest.mark.parametrize("model", sorted(MODEL_BUILDERS))
+    def test_reused_synthesizer_matches_fresh_ones(
+        self, model, training_graphs, parity_cluster
+    ):
+        """Per-rule cost plans are invalidated when the ratios change: one
+        synthesizer re-run across a ratio sequence must match a fresh
+        synthesizer per ratio vector, costs and search counters included."""
+        graph = training_graphs[model]
         config = SynthesisConfig(search_strategy="beam", beam_width=8)
-        synthesizer = ProgramSynthesizer(graph, parity_cluster, config)
-        naive_cfg = SynthesisConfig(
-            search_strategy="beam",
-            beam_width=8,
-            **{flag: False for flag in OPT_FLAGS},
-        )
-        naive_synthesizer = ProgramSynthesizer(graph, parity_cluster, naive_cfg)
+        reused = ProgramSynthesizer(graph, parity_cluster, config)
         for ratios in ([0.25] * 4, [0.4, 0.3, 0.2, 0.1], [0.25] * 4):
-            optimised = synthesizer.synthesize(ratios)
-            naive = naive_synthesizer.synthesize(ratios)
-            _assert_identical(optimised, naive, f"mlp/beam/ratios={ratios}")
+            fresh = ProgramSynthesizer(graph, parity_cluster, config).synthesize(ratios)
+            again = reused.synthesize(ratios)
+            _assert_identical(fresh, again, f"{model}/beam/ratios={ratios}")
+            assert again.expanded_states == fresh.expanded_states
+            assert again.generated_states == fresh.generated_states

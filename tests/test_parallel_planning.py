@@ -434,27 +434,25 @@ class TestParallelSynthesis:
         )
 
 
+def _reference_rank(vectors, stages):
+    """The ranking spelled out: (cost so far, total work), stable sort."""
+    keys = [(max(v), sum(s)) for v, s in zip(vectors, stages)]
+    return sorted(range(len(keys)), key=keys.__getitem__)
+
+
 class TestBeamRankOrderTieBreak:
     """The documented tie-break contract of costmodel.beam_rank_order."""
 
-    def test_vectorized_matches_scalar(self):
+    def test_matches_sorted_reference(self):
         vectors = [(3.0, 1.0), (2.0, 3.0), (3.0, 1.0), (1.0, 2.0)]
         stages = [(1.0, 0.5), (0.5, 1.0), (0.25, 0.25), (2.0, 0.0)]
-        assert beam_rank_order(vectors, stages, vectorized=True) == beam_rank_order(
-            vectors, stages, vectorized=False
-        )
+        assert beam_rank_order(vectors, stages) == _reference_rank(vectors, stages)
 
     def test_equal_keys_keep_input_order(self):
-        """Stability: exact ties survive in generation order, both paths."""
+        """Stability: exact ties survive in generation order."""
         vectors = [(2.0, 1.0)] * 4
         stages = [(0.5, 0.5)] * 4
-        for vectorized in (True, False):
-            assert beam_rank_order(vectors, stages, vectorized=vectorized) == [
-                0,
-                1,
-                2,
-                3,
-            ]
+        assert beam_rank_order(vectors, stages) == [0, 1, 2, 3]
 
     def test_tie_resolution_depends_on_input_order(self):
         """Reassembling children out of generation order would drift ties.
@@ -465,24 +463,25 @@ class TestBeamRankOrderTieBreak:
         tied_a = (2.0, 1.0)
         tied_b = (1.0, 2.0)  # same max, same sum — a pure tie
         stages = [(0.5, 0.5), (0.5, 0.5)]
-        for vectorized in (True, False):
-            forward_order = beam_rank_order([tied_a, tied_b], stages, vectorized)
-            swapped_order = beam_rank_order([tied_b, tied_a], stages, vectorized)
-            assert forward_order == [0, 1] and swapped_order == [0, 1]
+        forward_order = beam_rank_order([tied_a, tied_b], stages)
+        swapped_order = beam_rank_order([tied_b, tied_a], stages)
+        assert forward_order == [0, 1] and swapped_order == [0, 1]
         # The *identity* of the winner changed with the input order: position
         # 0 wins each time, but it holds a different candidate.
 
     def test_primary_key_then_work_tie_break(self):
         vectors = [(4.0, 1.0), (2.0, 3.0), (3.0, 2.0)]
         stages = [(1.0, 1.0), (3.0, 1.0), (0.5, 0.5)]
-        # finals: 4.0, 3.0, 3.0 -> candidates 1 and 2 tie on work? no:
-        # works: 2.0, 4.0, 1.0 -> order: 2 (3.0/1.0), 1 (3.0/4.0), 0 (4.0)
-        for vectorized in (True, False):
-            assert beam_rank_order(vectors, stages, vectorized=vectorized) == [2, 1, 0]
+        # finals: 4.0, 3.0, 3.0; works: 2.0, 4.0, 1.0
+        # -> order: 2 (3.0/1.0), 1 (3.0/4.0), 0 (4.0)
+        assert beam_rank_order(vectors, stages) == [2, 1, 0]
 
     @pytest.mark.parametrize("seed", range(3))
-    def test_random_inputs_rank_identically_on_both_paths(self, seed):
+    def test_random_inputs_match_reference(self, seed):
+        """Tuple and ndarray inputs both rank like the sorted() reference."""
         import random
+
+        import numpy as np
 
         rng = random.Random(seed)
         count = 17
@@ -493,9 +492,9 @@ class TestBeamRankOrderTieBreak:
             closed = rng.choice([0.0, 1.0, 1.5])
             vectors.append(tuple(closed + s for s in stage))
             stages.append(stage)
-        assert beam_rank_order(vectors, stages, True) == beam_rank_order(
-            vectors, stages, False
-        )
+        expected = _reference_rank(vectors, stages)
+        assert beam_rank_order(vectors, stages) == expected
+        assert beam_rank_order(np.array(vectors), np.array(stages)) == expected
 
 
 class TestSharedWorkerPool:

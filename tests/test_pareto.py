@@ -4,11 +4,11 @@ import random
 
 import pytest
 
-from repro.core import ParetoFront, ParetoStore, dominates
+from repro.core import ParetoFront, dominates
 
 
 def naive_insert(front, vector, eps=1e-12):
-    """Reference implementation: the seed's flat-list dominance update."""
+    """Reference implementation: a flat-list dominance update."""
     if any(all(e <= v + eps for e, v in zip(vec, vector)) for vec in front):
         return front, False
     kept = [vec for vec in front if not all(v <= e + eps for v, e in zip(vector, vec))]
@@ -58,7 +58,7 @@ class TestParetoFront:
         assert len(front) == 3
 
     def test_matches_flat_list_reference(self):
-        """Randomized equivalence with the seed's flat-list implementation."""
+        """Randomized equivalence with the flat-list reference."""
         rng = random.Random(0)
         for _ in range(20):
             front = ParetoFront()
@@ -70,13 +70,3 @@ class TestParetoFront:
                 assert accepted == accepted_ref
                 assert sorted(front.vectors()) == sorted(reference)
 
-
-class TestParetoStore:
-    def test_keys_are_independent(self):
-        store = ParetoStore()
-        assert store.insert("a", (2.0, 2.0))
-        assert store.insert("b", (3.0, 3.0))  # not dominated: different key
-        assert not store.insert("a", (3.0, 3.0))
-        assert store.front("a") == [(2.0, 2.0)]
-        assert store.front("missing") == []
-        assert len(store) == 2

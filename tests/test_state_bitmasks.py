@@ -26,9 +26,9 @@ MAX_STEPS = 300
 
 
 @lru_cache(maxsize=None)
-def _synthesizer(model: str, indexing: bool) -> ProgramSynthesizer:
+def _synthesizer(model: str) -> ProgramSynthesizer:
     graph = build_training_graph(build_tiny_model(model)).graph
-    config = SynthesisConfig(beam_width=8, enable_rule_indexing=indexing)
+    config = SynthesisConfig(beam_width=8)
     return ProgramSynthesizer(graph, make_cluster(), config)
 
 
@@ -68,7 +68,6 @@ def _reference_apply(synth, rule, props, comm, completed):
     return props, comm, completed
 
 
-@pytest.mark.parametrize("indexing", [True, False])
 @pytest.mark.parametrize("model", MODEL_NAMES)
 @settings(
     max_examples=8,
@@ -76,8 +75,8 @@ def _reference_apply(synth, rule, props, comm, completed):
     suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
 )
 @given(data=st.data())
-def test_masks_match_frozenset_reference(model, indexing, data):
-    synth = _synthesizer(model, indexing)
+def test_masks_match_frozenset_reference(model, data):
+    synth = _synthesizer(model)
     ratios = tuple(synth.cluster.proportional_ratios())
     rules = synth.theory.rules
     node = synth._root()
@@ -108,7 +107,7 @@ def test_masks_match_frozenset_reference(model, indexing, data):
 
 
 def test_bit_tables_are_sorted_and_ref_masks_contiguous():
-    synth = _synthesizer("bert_base", True)
+    synth = _synthesizer("bert_base")
     keys = [p.sort_key() for p in synth._bit_props]
     assert keys == sorted(keys) and len(set(keys)) == len(keys)
     assert list(synth._bit_refs) == sorted(synth._bit_refs)

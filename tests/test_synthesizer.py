@@ -149,6 +149,51 @@ class TestSearchMechanics:
         assert balanced.cost != pytest.approx(skewed.cost)
 
 
+class TestConfigValidation:
+    """An unknown strategy or a beam that keeps nothing is rejected up front,
+    and ``beam_width=None`` means what it says: keep every candidate."""
+
+    @pytest.mark.parametrize("strategy", ["bem", "a*", "", "Beam"])
+    def test_unknown_search_strategy_rejected(self, strategy):
+        with pytest.raises(ValueError, match="search_strategy"):
+            SynthesisConfig(search_strategy=strategy)
+
+    @pytest.mark.parametrize("width", [0, -1])
+    def test_beam_width_below_one_rejected(self, width):
+        with pytest.raises(ValueError, match="beam_width"):
+            SynthesisConfig(beam_width=width)
+        with pytest.raises(ValueError, match="beam_width"):
+            SynthesisConfig(search_strategy="astar", beam_width=width)
+
+    def test_known_strategies_and_widths_accepted(self):
+        for strategy in ("beam", "astar"):
+            for width in (None, 1, 32):
+                SynthesisConfig(search_strategy=strategy, beam_width=width)
+
+    def test_unbounded_beam_keeps_every_candidate(self, two_device_cluster):
+        """A graph whose levels merge to more than 64 states: ``None`` must
+        not be capped at 64 (or any other width)."""
+        b = GraphBuilder("two_layer")
+        x = b.placeholder((16, 8), name="x")
+        hidden = b.relu(b.matmul(x, b.parameter((8, 8), name="w1")))
+        y = b.matmul(hidden, b.parameter((8, 4), name="w2"))
+        labels = b.placeholder((16,), dtype=DType.INT64, name="labels")
+        b.loss(b.cross_entropy(y, labels))
+        graph = build_training_graph(b.build()).graph
+
+        def run(width):
+            config = SynthesisConfig(beam_width=width, enable_block_reuse=False)
+            return ProgramSynthesizer(graph, two_device_cluster, config).synthesize()
+
+        unbounded = run(None)
+        capped = run(64)
+        assert unbounded.expanded_states > capped.expanded_states
+        wide = run(10**9)
+        assert unbounded.expanded_states == wide.expanded_states
+        assert unbounded.generated_states == wide.generated_states
+        assert unbounded.cost == wide.cost
+
+
 class TestProgramStructure:
     def test_stages_start_with_collectives(self, transformer_training, slow_network_cluster):
         result = synthesize(transformer_training.graph, slow_network_cluster)
